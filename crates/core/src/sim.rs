@@ -625,7 +625,7 @@ impl Simulation {
     /// result is bitwise identical to stepping the same span tick by
     /// tick — the only skipped work is work that provably has no
     /// observable effect (zero-valued RNG draws, `+0.0` accumulator
-    /// adds, idempotent relay/feed writes).
+    /// adds, idempotent relay/feed writes, re-metering a frozen cluster).
     ///
     /// Battery feedback state (SoC, temperature) is advanced through
     /// per-tick [`StorageDevice::idle_settled`] calls until every
@@ -633,7 +633,11 @@ impl Simulation {
     /// span is covered by [`StorageDevice::idle_accumulate`] — so even
     /// the self-discharge physics are exact, not approximated.
     pub(crate) fn try_leap(&mut self, max_ticks: u64) -> u64 {
+        let idx = self.clock.index();
+        let tps = self.config.ticks_per_slot();
+        // The O(1) refusals come first; the O(servers) scans last.
         if max_ticks == 0
+            || (idx > 0 && idx.is_multiple_of(tps)) // Slot boundaries always take the dense path.
             || !matches!(self.mode, PowerMode::Utility)
             || self.prev_budget_factor != Ratio::ONE
             || !self.prev_solar_online
@@ -641,24 +645,6 @@ impl Simulation {
             || self.recovery_pending_since.is_some()
             || self.injector.any_active()
             || !self.ipdu.is_noiseless()
-            || !self.cluster.all_running_steady()
-        {
-            return 0;
-        }
-        let idx = self.clock.index();
-        let tps = self.config.ticks_per_slot();
-        if idx > 0 && idx.is_multiple_of(tps) {
-            return 0; // Slot boundaries always take the dense path.
-        }
-        let Some(levels) = self
-            .generators
-            .iter()
-            .map(UtilizationGenerator::steady_level)
-            .collect::<Option<Vec<_>>>()
-        else {
-            return 0;
-        };
-        if !(self.buffers.sc_pool().charge_quiescent() && self.buffers.ba_pool().charge_quiescent())
         {
             return 0;
         }
@@ -677,6 +663,14 @@ impl Simulation {
             return 0;
         }
 
+        let steady = self.cluster.all_running_steady()
+            && self.generators.iter().all(|g| g.steady_level().is_some())
+            && self.buffers.sc_pool().charge_quiescent()
+            && self.buffers.ba_pool().charge_quiescent();
+        if !steady {
+            return 0;
+        }
+
         #[cfg(feature = "strict-invariants")]
         let supplied_before = self.utility.energy_supplied() + self.renewable.energy_used();
 
@@ -684,7 +678,13 @@ impl Simulation {
         // set utilizations once and precompute the power math. (If the
         // demand turns out to exceed supply this is harmlessly redone
         // by step(): the steady stream reproduces the same values.)
-        self.cluster.set_utilizations(&levels);
+        // Every generator is steady (checked above), so the stream
+        // yields one level per generator, in order.
+        self.cluster.set_utilizations_with(
+            self.generators
+                .iter()
+                .filter_map(UtilizationGenerator::steady_level),
+        );
         let dt = self.config.tick;
         let demand = self.cluster.total_demand();
         let raw_limit = self.utility.effective_budget();
@@ -702,11 +702,18 @@ impl Simulation {
         let span = end - idx;
         let mut done = 0_u64;
         let mut settled = false;
+        // The cluster stays frozen for the whole span, so the meter
+        // samples it on the first tick and repeats that reading on every
+        // later one: a leaped tick costs O(1), not O(servers).
         // Phase 1: full per-tick device idles until every device hits a
         // bitwise fixed point (usually the very first tick).
         while done < span && !settled {
             let now = self.clock.now();
-            let total = self.ipdu.record_steady(&self.cluster, now);
+            let total = if done == 0 {
+                self.ipdu.record_steady(&self.cluster, now)
+            } else {
+                self.ipdu.repeat_steady(now)
+            };
             self.slot_peak = self.slot_peak.max(total);
             self.slot_valley = self.slot_valley.min(total);
             self.report.conversion_loss += loss_per_tick;
@@ -731,7 +738,7 @@ impl Simulation {
             let rest = span - done;
             for _ in 0..rest {
                 let now = self.clock.now();
-                let total = self.ipdu.record_steady(&self.cluster, now);
+                let total = self.ipdu.repeat_steady(now);
                 self.slot_peak = self.slot_peak.max(total);
                 self.slot_valley = self.slot_valley.min(total);
                 self.report.conversion_loss += loss_per_tick;
@@ -1626,6 +1633,7 @@ mod tests {
         assert!(leaps > 0, "a quiet valley must actually leap");
         assert_eq!(stepped.snapshot(), leaped.snapshot());
         assert_eq!(stepped.slot_log(), leaped.slot_log());
+        assert_same_meter_history(&stepped, &leaped);
         assert_eq!(
             stepped.buffers().sc_available(),
             leaped.buffers().sc_available()
@@ -1644,6 +1652,21 @@ mod tests {
         leaped.run_ticks(700);
         assert_eq!(stepped.snapshot(), leaped.snapshot());
         assert_eq!(stepped.slot_log(), leaped.slot_log());
+        assert_same_meter_history(&stepped, &leaped);
+    }
+
+    /// The two runs' meters retain bitwise-identical `(at, total)`
+    /// histories and latest channels.
+    fn assert_same_meter_history(a: &Simulation, b: &Simulation) {
+        let bits = |s: &Simulation| -> Vec<(u64, u64)> {
+            s.ipdu
+                .history()
+                .map(|r| (r.at.get().to_bits(), r.total.get().to_bits()))
+                .collect()
+        };
+        assert_eq!(a.ipdu.len(), a.config().ticks_per_slot() as usize);
+        assert_eq!(bits(a), bits(b));
+        assert_eq!(a.ipdu.channels(), b.ipdu.channels());
     }
 
     #[test]

@@ -31,13 +31,13 @@ pub enum MeterFault {
     Spike(f64),
 }
 
-/// One metering sample.
-#[derive(Debug, Clone, PartialEq)]
+/// One metering sample: the aggregate draw at one instant. The
+/// per-server channels of the latest sample live on the meter
+/// ([`Ipdu::channels`]), not in the history.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeterReading {
     /// Simulation time of the sample.
     pub at: Seconds,
-    /// Per-server draws, indexed by server id.
-    pub per_server: Vec<Watts>,
     /// Aggregate draw.
     pub total: Watts,
 }
@@ -62,6 +62,9 @@ pub struct MeterReading {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ipdu {
     history: VecDeque<MeterReading>,
+    /// Per-server draws of the latest sample, indexed by server id; one
+    /// buffer, overwritten by every sample.
+    channels: Vec<Watts>,
     window: usize,
     /// Relative (1-sigma) measurement noise; 0 = ideal instrument.
     noise_std: f64,
@@ -93,6 +96,7 @@ impl Ipdu {
         }
         Ok(Self {
             history: VecDeque::with_capacity(window),
+            channels: Vec::new(),
             window,
             noise_std: 0.0,
             rng_state: 0x9E37_79B9_7F4A_7C15,
@@ -132,26 +136,15 @@ impl Ipdu {
         (u1 + u2 - 1.0) * (6.0_f64).sqrt()
     }
 
-    /// Samples the cluster at time `at`, appends to history, and returns
-    /// a reference to the retained reading.
+    /// Samples the cluster at time `at`, appends the total to history,
+    /// and returns a reference to the retained reading. The per-server
+    /// samples overwrite [`Ipdu::channels`].
     ///
-    /// Once the window is full the evicted reading's `per_server` buffer
-    /// is recycled for the new sample, so steady-state metering does no
-    /// per-tick allocation regardless of fleet size.
+    /// History holds scalar readings and the channel buffer is reused,
+    /// so metering allocates nothing per tick once the buffer has grown
+    /// to the fleet size.
     pub fn sample(&mut self, cluster: &Cluster, at: Seconds) -> &MeterReading {
-        let mut reading = if self.history.len() == self.window {
-            // heb-analyze: allow(HEB003, pop is guarded by the length check above)
-            let mut recycled = self.history.pop_front().unwrap();
-            recycled.per_server.clear();
-            recycled
-        } else {
-            MeterReading {
-                at,
-                per_server: Vec::with_capacity(cluster.len()),
-                total: Watts::zero(),
-            }
-        };
-        reading.at = at;
+        self.channels.clear();
         let noise_std = self.noise_std;
         for i in 0..cluster.len() {
             let truth = cluster.power_draw(i);
@@ -160,9 +153,18 @@ impl Ipdu {
             } else {
                 truth
             };
-            reading.per_server.push(sampled);
+            self.channels.push(sampled);
         }
-        reading.total = reading.per_server.iter().copied().sum();
+        let total = self.channels.iter().copied().sum();
+        self.push(MeterReading { at, total })
+    }
+
+    /// Appends `reading`, evicting the oldest one once the window is
+    /// full, and returns the retained copy.
+    fn push(&mut self, reading: MeterReading) -> &MeterReading {
+        if self.history.len() == self.window {
+            self.history.pop_front();
+        }
         self.history.push_back(reading);
         // heb-analyze: allow(HEB003, the reading was pushed on the line above)
         self.history.back().unwrap()
@@ -179,11 +181,10 @@ impl Ipdu {
         self.noise_std == 0.0
     }
 
-    /// Records one noiseless steady-state sample and returns its total,
-    /// leaving history identical to what [`Ipdu::sample`] would have
-    /// produced. Since [`Ipdu::sample`] now recycles evicted buffers
-    /// itself this is a thin wrapper, retained because the event core's
-    /// quiet-span fast path wants the noiseless-only contract enforced.
+    /// Samples the cluster like [`Ipdu::sample`] and returns the total,
+    /// but only on a noiseless meter: the event core's quiet-span fast
+    /// path calls it, and relies on noiseless samples of an unchanged
+    /// cluster being bitwise identical.
     ///
     /// # Panics
     ///
@@ -196,6 +197,29 @@ impl Ipdu {
             "record_steady requires a noiseless meter"
         );
         self.sample(cluster, at).total
+    }
+
+    /// Appends the latest reading's total again at time `at` and returns
+    /// it, without sampling the cluster; the channels are left as they
+    /// are. For a noiseless meter over a cluster that has not changed
+    /// since the latest sample, history ends up bitwise identical to
+    /// what [`Ipdu::sample`] would have produced — the event core's
+    /// quiet-span fast path samples a frozen cluster once per span and
+    /// repeats that reading for every later tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the meter was configured with noise (a noisy sample
+    /// draws from the RNG and differs from the last), or if it has no
+    /// reading yet.
+    pub fn repeat_steady(&mut self, at: Seconds) -> Watts {
+        assert!(
+            self.is_noiseless(),
+            "repeat_steady requires a noiseless meter"
+        );
+        // heb-analyze: allow(HEB003, documented panic: repeating needs a prior sample)
+        let latest = *self.latest().expect("repeat_steady needs a prior sample");
+        self.push(MeterReading { at, ..latest }).total
     }
 
     /// Samples the cluster through a possibly faulty metering path.
@@ -223,16 +247,27 @@ impl Ipdu {
             MeterFault::Spike(factor) => {
                 let factor = factor.max(0.0);
                 let _ = self.sample(cluster, at);
-                // Corrupt the just-appended entry in place so history
-                // and the returned reference agree on the bad data.
-                let back = self.history.back_mut()?;
-                for w in &mut back.per_server {
+                // Corrupt the just-taken channels and the appended entry
+                // in place so history, channels and the returned
+                // reference agree on the bad data.
+                for w in &mut self.channels {
                     *w = *w * factor;
                 }
-                back.total = back.per_server.iter().copied().sum();
+                let total = self.channels.iter().copied().sum();
+                let back = self.history.back_mut()?;
+                back.total = total;
                 self.history.back()
             }
         }
+    }
+
+    /// Per-server draws of the latest sample, indexed by server id
+    /// (empty before the first sample). A [`MeterFault::Spike`] scales
+    /// them with the reading; a dropout, a freeze or
+    /// [`Ipdu::repeat_steady`] leaves them as they are.
+    #[must_use]
+    pub fn channels(&self) -> &[Watts] {
+        &self.channels
     }
 
     /// The retained samples, oldest first.
@@ -324,32 +359,40 @@ mod tests {
         let mut cluster = Cluster::prototype(3);
         cluster.set_utilization(1, Ratio::ONE);
         let mut ipdu = Ipdu::new(1);
-        let r = ipdu.sample(&cluster, Seconds::zero());
-        assert_eq!(r.per_server[0].get(), 30.0);
-        assert_eq!(r.per_server[1].get(), 70.0);
-        assert_eq!(r.per_server[2].get(), 30.0);
+        assert!(ipdu.channels().is_empty());
+        ipdu.sample(&cluster, Seconds::zero());
+        let channels: Vec<f64> = ipdu.channels().iter().map(|w| w.get()).collect();
+        assert_eq!(channels, [30.0, 70.0, 30.0]);
     }
 
     #[test]
-    fn record_steady_matches_sample_bitwise() {
+    fn repeat_steady_matches_sample_bitwise() {
         let mut cluster = Cluster::prototype(3);
         cluster.set_utilization(1, Ratio::ONE);
         let mut sampled = Ipdu::new(4);
-        let mut steady = Ipdu::new(4);
+        let mut repeated = Ipdu::new(4);
         // Cover both the filling phase and the recycling (window-full)
-        // phase; the two meters must agree bitwise throughout.
+        // phase; sampling an unchanged cluster every tick and sampling
+        // it once, then repeating, must agree bitwise throughout.
         for t in 0..10 {
             let at = Seconds::new(t as f64);
-            let a = sampled.sample(&cluster, at).total;
-            let b = steady.record_steady(&cluster, at);
+            let a = sampled.record_steady(&cluster, at);
+            let b = if t == 0 {
+                repeated.record_steady(&cluster, at)
+            } else {
+                repeated.repeat_steady(at)
+            };
             assert_eq!(a.get().to_bits(), b.get().to_bits());
+            assert_eq!(sampled.len(), repeated.len());
+            for (a, b) in sampled.history().zip(repeated.history()) {
+                assert_eq!(a.at.get().to_bits(), b.at.get().to_bits());
+                assert_eq!(a.total.get().to_bits(), b.total.get().to_bits());
+            }
         }
-        assert_eq!(sampled.len(), steady.len());
-        for (a, b) in sampled.history().zip(steady.history()) {
-            assert_eq!(a, b);
-        }
-        assert_eq!(sampled.peak_total(), steady.peak_total());
-        assert_eq!(sampled.valley_total(), steady.valley_total());
+        assert_eq!(sampled.len(), 4);
+        assert_eq!(sampled.channels(), repeated.channels());
+        assert_eq!(sampled.peak_total(), repeated.peak_total());
+        assert_eq!(sampled.valley_total(), repeated.valley_total());
     }
 
     #[test]
@@ -358,6 +401,15 @@ mod tests {
         let cluster = Cluster::prototype(1);
         let mut ipdu = Ipdu::new(4).with_noise(0.01, 7);
         let _ = ipdu.record_steady(&cluster, Seconds::zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "noiseless")]
+    fn repeat_steady_rejects_noisy_meter() {
+        let cluster = Cluster::prototype(1);
+        let mut ipdu = Ipdu::new(4).with_noise(0.01, 7);
+        ipdu.sample(&cluster, Seconds::zero());
+        let _ = ipdu.repeat_steady(Seconds::new(1.0));
     }
 
     #[test]
@@ -439,10 +491,9 @@ mod tests {
         cluster.set_all_utilization(Ratio::ONE);
         ipdu.sample(&cluster, Seconds::new(1.0)); // 140 W truth
         cluster.set_all_utilization(Ratio::ZERO); // truth drops to 60 W
-        let stale = ipdu
+        let stale = *ipdu
             .try_sample(&cluster, Seconds::new(2.0), MeterFault::Freeze)
-            .unwrap()
-            .clone();
+            .unwrap();
         assert_eq!(stale.total.get(), 140.0, "freeze must serve stale data");
         assert_eq!(stale.at, Seconds::new(1.0));
         assert_eq!(ipdu.len(), 1, "freeze must not grow history");
@@ -460,6 +511,8 @@ mod tests {
         assert_eq!(spiked.get(), 420.0);
         assert_eq!(ipdu.latest().unwrap().total.get(), 420.0);
         assert_eq!(ipdu.peak_total().get(), 420.0);
+        let channels: Vec<f64> = ipdu.channels().iter().map(|w| w.get()).collect();
+        assert_eq!(channels, [210.0, 210.0], "channels carry the spike too");
     }
 
     #[test]

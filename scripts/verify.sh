@@ -16,6 +16,12 @@ cargo build --release
 echo "== cargo test"
 cargo test --workspace -q
 
+# perfbench is its own Cargo workspace over the layer crates: building
+# and testing it here makes a layer API change that breaks the
+# benchmark fail this gate.
+echo "== perfbench build and tests"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== heb-analyze (static analysis gate: cold run, then warm incremental run)"
 BENCH_ANALYZE="$(mktemp -d)"
 rm -rf results/analyze-cache
@@ -76,6 +82,7 @@ grep -q 'settled from the prior' "$SMOKE/resumed.out"
 echo "kill-and-resume smoke: resumed run bit-identical to clean run"
 
 echo "== heb_serve smoke (cold query, warm replay byte-identical, graceful drain)"
+cargo build -q --release -p heb-serve
 SERVE=target/release/heb_serve
 "$SERVE" --addr 127.0.0.1:0 --cache-dir "$SMOKE/serve-cache" > "$SMOKE/serve.out" &
 SERVE_PID=$!
