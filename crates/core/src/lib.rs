@@ -83,6 +83,6 @@ pub use faults::{
 pub use metrics::SimReport;
 pub use pat::{PatEntry, PatKey, PowerAllocationTable};
 pub use policy::{ChargePriority, DischargePriority, PeakSize, PolicyKind};
-pub use query::{demand_trace, QueryError, WhatIfQuery};
+pub use query::{demand_trace, scenario_mppu, QueryError, WhatIfQuery};
 pub use scenario::{ticks_for, ContentHasher, Scenario, ScenarioRunner, SerialRunner};
 pub use sim::{PowerMode, Simulation, SlotRecord};

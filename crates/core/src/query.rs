@@ -11,7 +11,7 @@
 //! The module also synthesises the aggregate demand trace a query
 //! implies ([`demand_trace`]), mirroring [`Simulation::try_new`]'s
 //! cluster setup bit-for-bit, so the paper's MPPU metric (§2.1) can be
-//! reported without re-running the simulation.
+//! reported without re-running the simulation ([`scenario_mppu`]).
 
 use std::fmt;
 
@@ -21,7 +21,7 @@ use heb_workload::{Archetype, PeakClass, PowerTrace};
 
 use crate::config::{ConfigError, SimConfig};
 use crate::policy::PolicyKind;
-use crate::scenario::{ticks_for, Scenario};
+use crate::scenario::Scenario;
 
 /// Why a what-if query could not be lowered to a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,23 +164,34 @@ impl WhatIfQuery {
 
     /// The fraction of the horizon in which aggregate demand reaches
     /// the provisioned budget — the paper's MPPU (§2.1) — computed on
-    /// the synthesised demand trace.
+    /// the synthesised demand trace of the lowered scenario (see
+    /// [`scenario_mppu`]).
     ///
     /// # Errors
     ///
     /// Same failure modes as [`WhatIfQuery::scenario`].
     pub fn mppu(&self) -> Result<f64, QueryError> {
-        if self.workloads.is_empty() {
-            return Err(QueryError::NoWorkloads);
-        }
-        if !self.hours.is_finite() || self.hours <= 0.0 {
-            return Err(QueryError::BadHours(self.hours));
-        }
-        let config = self.config()?;
-        let ticks = ticks_for(&config, self.hours);
-        let trace = demand_trace(&config, &self.workloads, ticks, self.seed);
-        Ok(trace.mppu(config.budget))
+        Ok(scenario_mppu(&self.scenario()?))
     }
+}
+
+/// The paper's MPPU (§2.1) for a scenario: the fraction of its horizon
+/// in which the open-loop [`demand_trace`] of its config, workload mix
+/// and seed reaches the config's budget. A pure function of the
+/// scenario, so callers may memoise it by [`Scenario::content_hash`].
+/// MPPU is defined over open-loop demand, so the scenario's power
+/// mode, faults, initial state of charge and steady-workload override
+/// play no part.
+#[must_use]
+pub fn scenario_mppu(scenario: &Scenario) -> f64 {
+    let config = scenario.config();
+    demand_trace(
+        config,
+        scenario.workloads(),
+        scenario.ticks(),
+        scenario.seed(),
+    )
+    .mppu(config.budget)
 }
 
 /// Synthesises the aggregate cluster demand trace a scenario implies:
@@ -214,11 +225,7 @@ pub fn demand_trace(
     }
     let mut samples = Vec::with_capacity(ticks as usize);
     for _ in 0..ticks {
-        let utilizations: Vec<_> = generators
-            .iter_mut()
-            .map(|g| g.next_utilization())
-            .collect();
-        cluster.set_utilizations(&utilizations);
+        cluster.set_utilizations_with(generators.iter_mut().map(|g| g.next_utilization()));
         samples.push(cluster.total_demand());
     }
     PowerTrace::new(samples, config.tick)
@@ -227,6 +234,7 @@ pub fn demand_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ticks_for;
 
     fn quick_query() -> WhatIfQuery {
         WhatIfQuery::new(vec![Archetype::WebSearch, Archetype::Terasort], 0.05, 7)
@@ -294,6 +302,88 @@ mod tests {
         assert_eq!(a.samples(), b.samples(), "same seed, same trace");
         assert_eq!(a.len() as u64, ticks);
         assert!(a.peak().get() > 0.0, "servers draw idle power at least");
+    }
+
+    /// The per-tick loop as first written: one `Vec` of utilizations
+    /// per tick, applied with `set_utilizations`. Kept as the oracle
+    /// the allocation-free loop in [`demand_trace`] must match bit for
+    /// bit.
+    fn demand_trace_oracle(
+        config: &SimConfig,
+        workloads: &[Archetype],
+        ticks: u64,
+        seed: u64,
+    ) -> Vec<Watts> {
+        let mut cluster = Cluster::prototype(config.servers);
+        let mut generators = Vec::with_capacity(config.servers);
+        for idx in 0..config.servers {
+            let archetype = workloads[idx % workloads.len()];
+            generators.push(archetype.generator(seed.wrapping_add(idx as u64 * 7919)));
+            let freq = match archetype.peak_class() {
+                PeakClass::Small => FrequencyLevel::Low,
+                PeakClass::Large => FrequencyLevel::High,
+            };
+            cluster.set_frequency(idx, freq);
+        }
+        let mut samples = Vec::with_capacity(ticks as usize);
+        for _ in 0..ticks {
+            let utilizations: Vec<_> = generators
+                .iter_mut()
+                .map(|g| g.next_utilization())
+                .collect();
+            cluster.set_utilizations(&utilizations);
+            samples.push(cluster.total_demand());
+        }
+        samples
+    }
+
+    #[test]
+    fn demand_trace_matches_the_per_tick_vec_oracle() {
+        use Archetype::{DataAnalysis, Hivebench, MediaStreaming, PageRank, Terasort, WebSearch};
+        let mixes: [&[Archetype]; 4] = [
+            &[WebSearch],
+            &[WebSearch, Terasort],
+            &[PageRank, MediaStreaming, Hivebench],
+            &[Terasort, DataAnalysis, WebSearch, Hivebench, PageRank],
+        ];
+        for servers in [1, 6, 7] {
+            let config = SimConfig::prototype()
+                .to_builder()
+                .servers(servers)
+                .build()
+                .expect("valid server count");
+            for mix in mixes {
+                for seed in [0, 7, 42, 1013, u64::MAX] {
+                    let fast = demand_trace(&config, mix, 600, seed);
+                    let oracle = demand_trace_oracle(&config, mix, 600, seed);
+                    let bits =
+                        |s: &[Watts]| s.iter().map(|w| w.get().to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(fast.samples()),
+                        bits(&oracle),
+                        "servers {servers}, mix {mix:?}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn query_mppu_is_the_mppu_of_its_scenario_trace() {
+        let mut query = quick_query();
+        query.budget = Some(Watts::new(250.0));
+        let config = query.config().expect("valid");
+        let ticks = ticks_for(&config, query.hours);
+        let trace = demand_trace(&config, &query.workloads, ticks, query.seed);
+        let scenario = query.scenario().expect("valid");
+        assert_eq!(
+            scenario_mppu(&scenario).to_bits(),
+            trace.mppu(config.budget).to_bits()
+        );
+        assert_eq!(
+            query.mppu().expect("valid").to_bits(),
+            scenario_mppu(&scenario).to_bits()
+        );
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! cooperative: `POST /shutdown` (or [`Server::shutdown_signal`])
 //! flips a flag, a self-connect unblocks the blocking `accept`, and
 //! the loop then drains — waits for every in-flight connection to
-//! finish — before returning.
+//! finish — before returning. A failing `accept` (e.g. EMFILE when file
+//! descriptors run out) backs off with a bounded doubling sleep rather
+//! than spinning.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
 use crate::http::{read_request, write_response, HttpError, HttpRequest};
 use crate::service::{Advisor, Answer};
@@ -44,6 +47,32 @@ impl InFlight {
                 .wait(count)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+/// First sleep after a failed `accept`.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+/// Longest sleep between consecutive failed `accept`s.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+
+/// Sleep schedule after failed `accept`s: doubles from
+/// [`ACCEPT_BACKOFF_MIN`] up to [`ACCEPT_BACKOFF_MAX`], and starts over
+/// after a success.
+#[derive(Debug, Default)]
+struct AcceptBackoff {
+    next: Option<Duration>,
+}
+
+impl AcceptBackoff {
+    /// The sleep for this failure; the next one sleeps twice as long.
+    fn failed(&mut self) -> Duration {
+        let delay = self.next.unwrap_or(ACCEPT_BACKOFF_MIN);
+        self.next = Some((delay * 2).min(ACCEPT_BACKOFF_MAX));
+        delay
+    }
+
+    fn succeeded(&mut self) {
+        self.next = None;
     }
 }
 
@@ -122,10 +151,24 @@ impl Server {
     /// errors are absorbed.
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.addr()?;
+        let mut backoff = AcceptBackoff::default();
         loop {
             let (stream, _) = match self.listener.accept() {
-                Ok(accepted) => accepted,
-                Err(_) => continue,
+                Ok(accepted) => {
+                    backoff.succeeded();
+                    accepted
+                }
+                Err(_) => {
+                    self.advisor
+                        .metrics()
+                        .counter("serve.accept.errors")
+                        .increment();
+                    std::thread::sleep(backoff.failed());
+                    if self.stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    continue;
+                }
             };
             if self.stop.load(Ordering::SeqCst) {
                 break;
@@ -209,5 +252,22 @@ fn handle_connection(
         // Socket died or timed out: nothing to answer. The self-
         // connect that wakes the accept loop lands here by design.
         Err(HttpError::Io(_)) => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_backoff_doubles_to_its_cap_and_resets_on_success() {
+        let mut backoff = AcceptBackoff::default();
+        let schedule: Vec<u64> = (0..9)
+            .map(|_| backoff.failed().as_millis() as u64)
+            .collect();
+        assert_eq!(schedule, [1, 2, 4, 8, 16, 32, 64, 100, 100]);
+        backoff.succeeded();
+        assert_eq!(backoff.failed(), ACCEPT_BACKOFF_MIN);
+        assert_eq!(backoff.failed(), Duration::from_millis(2));
     }
 }

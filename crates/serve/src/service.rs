@@ -4,16 +4,18 @@
 //! A request flows: JSON body → [`WhatIfQuery`] (validated through
 //! `SimConfig::builder`) → [`Scenario`] → content hash → singleflight
 //! → bounded worker pool → a single-scenario [`FleetEngine::run`]
-//! (cache probe, retries, quarantine) → answer. The answer body is built purely
-//! from the query and the report, with Rust's shortest-round-trip
-//! float formatting, so a warm (cache) answer is **byte-identical**
-//! to the cold (simulated) answer it replays.
+//! (cache probe, retries, quarantine) → MPPU (memoised per scenario)
+//! → answer. The answer body is built purely from the query, the report
+//! and the scenario's MPPU, with Rust's shortest-round-trip float
+//! formatting, so a warm (cache) answer is **byte-identical** to the
+//! cold (simulated) answer it replays.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use heb_core::{PolicyKind, Scenario, SimConfig, SimReport, WhatIfQuery};
+use heb_core::{scenario_mppu, PolicyKind, Scenario, SimConfig, SimReport, WhatIfQuery};
 use heb_fleet::{FleetEngine, HardenPolicy, ReportSource, ResultCache, RunPolicy, ScenarioState};
 use heb_tco::{bill_run, Tariff};
 use heb_telemetry::{null_recorder, Event, Metrics, RecorderHandle, ServeEvent};
@@ -105,13 +107,57 @@ impl WorkerPool {
     }
 }
 
+/// Entries the MPPU memo holds before it is cleared: far above the
+/// distinct scenarios a warm working set repeats (a few hundred), and
+/// at most about 1 MB of `(u128, f64)` entries.
+const MPPU_MEMO_CAPACITY: usize = 16_384;
+
+/// MPPU by scenario content hash. MPPU is a pure function of the
+/// scenario, but synthesising its demand trace costs milliseconds (an
+/// 8 h query is 28,800 ticks), so each scenario pays it once per
+/// process. Cleared when full, so it stays bounded.
+struct MppuMemo {
+    entries: Mutex<BTreeMap<u128, f64>>,
+    capacity: usize,
+}
+
+impl MppuMemo {
+    fn new(capacity: usize) -> Self {
+        Self {
+            entries: Mutex::new(BTreeMap::new()),
+            capacity,
+        }
+    }
+
+    fn get(&self, id: u128) -> Option<f64> {
+        self.entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&id)
+            .copied()
+    }
+
+    fn insert(&self, id: u128, mppu: f64) {
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        if entries.len() >= self.capacity {
+            entries.clear();
+        }
+        entries.insert(id, mppu);
+    }
+}
+
+/// What a flight yields: the report, the scenario's MPPU, and whether
+/// the report came from the result cache — or why the run failed.
+type FlightOutcome = Result<(SimReport, f64, bool), String>;
+
 /// The long-lived service state shared by every connection.
 pub struct Advisor {
     engine: FleetEngine,
     metrics: Arc<Metrics>,
     recorder: RecorderHandle,
-    flights: Singleflight<Result<(SimReport, bool), String>>,
+    flights: Singleflight<FlightOutcome>,
     pool: WorkerPool,
+    mppu: MppuMemo,
     draining: AtomicBool,
 }
 
@@ -134,6 +180,7 @@ impl Advisor {
             recorder: null_recorder(),
             flights: Singleflight::new(),
             pool: WorkerPool::new(config.workers),
+            mppu: MppuMemo::new(MPPU_MEMO_CAPACITY),
             draining: AtomicBool::new(false),
         }
     }
@@ -219,10 +266,7 @@ impl Advisor {
             Ok(scenario) => scenario,
             Err(err) => return self.reject(&err.to_string()),
         };
-        let mppu = match request.query.mppu() {
-            Ok(mppu) => mppu,
-            Err(err) => return self.reject(&err.to_string()),
-        };
+        let id = scenario.content_hash();
         let hash = scenario.hash_hex();
         self.emit(|| ServeEvent::QueryReceived {
             scenario: hash.clone(),
@@ -236,9 +280,11 @@ impl Advisor {
                     .run(std::slice::from_ref(&scenario), &RunPolicy::new());
                 match run.outcomes.pop() {
                     Some(outcome) => match (outcome.state, outcome.report) {
-                        (ScenarioState::Done, Some(report)) => {
-                            Ok((report, outcome.source == ReportSource::Cache))
-                        }
+                        (ScenarioState::Done, Some(report)) => Ok((
+                            report,
+                            self.memoised_mppu(id, &scenario),
+                            outcome.source == ReportSource::Cache,
+                        )),
                         (_, _) => Err(outcome.failure.map_or_else(
                             || "scenario did not complete".to_string(),
                             |f| f.to_string(),
@@ -251,10 +297,10 @@ impl Advisor {
 
         let source = match (&outcome, role) {
             (_, FlightRole::Follower) => "coalesced",
-            (Ok((_, true)), FlightRole::Leader) => "cache",
+            (Ok((_, _, true)), FlightRole::Leader) => "cache",
             (_, FlightRole::Leader) => "simulated",
         };
-        let (report, _) = match outcome {
+        let (report, mppu, _) = match outcome {
             Ok(result) => result,
             Err(message) => {
                 self.metrics.counter("serve.query.failed").increment();
@@ -295,6 +341,21 @@ impl Advisor {
         });
 
         Answer::ok(render_answer(&request, &scenario, &hash, mppu, &report))
+    }
+
+    /// The scenario's MPPU from the memo, synthesised on a miss. Runs
+    /// inside the flight leader's worker-pool permit, so concurrent
+    /// cold queries never synthesise outside the pool and coalesced
+    /// followers share the leader's value.
+    fn memoised_mppu(&self, id: u128, scenario: &Scenario) -> f64 {
+        if let Some(mppu) = self.mppu.get(id) {
+            self.metrics.counter("serve.mppu.memo_hits").increment();
+            return mppu;
+        }
+        let mppu = scenario_mppu(scenario);
+        self.metrics.counter("serve.mppu.synthesized").increment();
+        self.mppu.insert(id, mppu);
+        mppu
     }
 
     fn reject(&self, message: &str) -> Answer {
@@ -503,15 +564,39 @@ fn render_answer(
 mod tests {
     use super::*;
 
-    fn advisor(tag: &str) -> Advisor {
-        let root =
-            std::env::temp_dir().join(format!("heb-serve-advisor-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+    fn cache_root(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("heb-serve-advisor-{tag}-{}", std::process::id()))
+    }
+
+    /// An advisor on an existing (or absent) cache directory.
+    fn advisor_on(root: std::path::PathBuf) -> Advisor {
         Advisor::new(&AdvisorConfig {
             workers: 2,
             cache_dir: Some(root),
             policy: HardenPolicy::default(),
         })
+    }
+
+    fn advisor(tag: &str) -> Advisor {
+        let root = cache_root(tag);
+        let _ = std::fs::remove_dir_all(&root);
+        advisor_on(root)
+    }
+
+    fn mppu_counts(advisor: &Advisor) -> (u64, u64) {
+        let snapshot = advisor.metrics().snapshot();
+        (
+            snapshot.counter("serve.mppu.synthesized").unwrap_or(0),
+            snapshot.counter("serve.mppu.memo_hits").unwrap_or(0),
+        )
+    }
+
+    /// An answer body with its `tco` object cut out: what a re-priced
+    /// answer must share byte for byte with the original.
+    fn without_tco(body: &str) -> String {
+        let start = body.find(",\"tco\":{").expect("tco section");
+        let end = start + body[start..].find('}').expect("tco closes") + 1;
+        format!("{}{}", &body[..start], &body[end..])
     }
 
     const QUICK: &str = r#"{"workloads":["WS","TS"],"hours":0.05,"seed":7}"#;
@@ -551,6 +636,7 @@ mod tests {
         let stats = advisor.engine().stats();
         assert_eq!(stats.simulated, 1, "second answer must come from cache");
         assert_eq!(stats.cache_hits, 1);
+        assert_eq!(mppu_counts(&advisor), (1, 1), "warm MPPU is a memo hit");
         let snapshot = advisor.metrics().snapshot();
         assert_eq!(snapshot.counter("serve.query.answered"), Some(2));
         assert_eq!(snapshot.counter("serve.query.cache_hits"), Some(1));
@@ -635,6 +721,63 @@ mod tests {
                 .and_then(|p| p.get("query").and_then(|q| q.get("hash")).cloned())
         };
         assert_eq!(hash(&base.body), hash(&pricey.body));
+        assert_eq!(
+            without_tco(&base.body),
+            without_tco(&pricey.body),
+            "a re-priced answer differs from the original only in its tco"
+        );
+        let repeat = advisor.query(QUICK);
+        assert_eq!(base.body, repeat.body);
+        assert_eq!(
+            mppu_counts(&advisor),
+            (1, 2),
+            "a re-price and a verbatim repeat both read MPPU from the memo"
+        );
+    }
+
+    #[test]
+    fn fresh_advisor_on_a_warm_cache_answers_byte_identically() {
+        let root = cache_root("restart");
+        let _ = std::fs::remove_dir_all(&root);
+        let cold = advisor_on(root.clone()).query(QUICK);
+        assert_eq!(cold.status, 200, "{}", cold.body);
+        let restarted = advisor_on(root);
+        let warm = restarted.query(QUICK);
+        assert_eq!(cold.body, warm.body, "memo miss + cache hit must match");
+        assert_eq!(restarted.engine().stats().simulated, 0);
+        assert_eq!(restarted.engine().stats().cache_hits, 1);
+        assert_eq!(mppu_counts(&restarted), (1, 0));
+    }
+
+    #[test]
+    fn mppu_memo_is_cleared_when_full() {
+        let memo = MppuMemo::new(2);
+        memo.insert(1, 0.25);
+        memo.insert(2, 0.5);
+        assert_eq!((memo.get(1), memo.get(2)), (Some(0.25), Some(0.5)));
+        memo.insert(3, 0.75);
+        assert_eq!(memo.get(1), None, "a full memo is cleared");
+        assert_eq!(memo.get(2), None);
+        assert_eq!(memo.get(3), Some(0.75));
+        memo.insert(3, 0.75);
+        assert_eq!(memo.get(3), Some(0.75), "the cleared memo refills");
+    }
+
+    #[test]
+    fn answers_survive_a_memo_clear() {
+        let mut advisor = advisor("memo-clear");
+        advisor.mppu = MppuMemo::new(1);
+        let other = r#"{"workloads":["PR"],"hours":0.05,"seed":7}"#;
+        let first = advisor.query(QUICK);
+        let evictor = advisor.query(other);
+        assert_eq!(evictor.status, 200, "{}", evictor.body);
+        let again = advisor.query(QUICK);
+        assert_eq!(
+            first.body, again.body,
+            "re-synthesised MPPU keeps the bytes"
+        );
+        assert_eq!(advisor.engine().stats().simulated, 2);
+        assert_eq!(mppu_counts(&advisor), (3, 0));
     }
 
     #[test]
@@ -678,5 +821,15 @@ mod tests {
         let hits = snapshot.counter("serve.query.cache_hits").unwrap_or(0);
         assert_eq!(coalesced + hits, 5, "five answers shared the one run");
         assert!(snapshot.gauge("serve.query.hit_ratio").is_some());
+        assert_eq!(
+            snapshot.counter("serve.mppu.synthesized"),
+            Some(1),
+            "six identical queries must synthesise MPPU exactly once"
+        );
+        assert_eq!(
+            snapshot.counter("serve.mppu.memo_hits").unwrap_or(0),
+            hits,
+            "only later leaders (cache hits) read the memo; followers share"
+        );
     }
 }

@@ -81,22 +81,26 @@ diff -u "$SMOKE/clean.eff" "$SMOKE/resumed.eff"
 grep -q 'settled from the prior' "$SMOKE/resumed.out"
 echo "kill-and-resume smoke: resumed run bit-identical to clean run"
 
-echo "== heb_serve smoke (cold query, warm replay byte-identical, graceful drain)"
+echo "== heb_serve smoke (cold query, warm replay byte-identical, graceful drain, restart on the warm cache)"
 cargo build -q --release -p heb-serve
 SERVE=target/release/heb_serve
-"$SERVE" --addr 127.0.0.1:0 --cache-dir "$SMOKE/serve-cache" > "$SMOKE/serve.out" &
-SERVE_PID=$!
+# Starts heb_serve on the smoke cache, logging to $1; sets SERVE_PID and ADDR.
+start_serve() {
+  "$SERVE" --addr 127.0.0.1:0 --cache-dir "$SMOKE/serve-cache" > "$1" &
+  SERVE_PID=$!
+  ADDR=""
+  for _ in $(seq 1 50); do
+    ADDR="$(sed -n 's/^listening on //p' "$1")"
+    [ -n "$ADDR" ] && break
+    sleep 0.1
+  done
+  if [ -z "$ADDR" ]; then
+    echo "heb_serve smoke: server never reported its address" >&2
+    exit 1
+  fi
+}
+start_serve "$SMOKE/serve.out"
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
-ADDR=""
-for _ in $(seq 1 50); do
-  ADDR="$(sed -n 's/^listening on //p' "$SMOKE/serve.out")"
-  [ -n "$ADDR" ] && break
-  sleep 0.1
-done
-if [ -z "$ADDR" ]; then
-  echo "heb_serve smoke: server never reported its address" >&2
-  exit 1
-fi
 QUERY='{"workloads":["WS","TS"],"hours":0.05,"seed":7}'
 "$SERVE" --addr "$ADDR" --post /query --body "$QUERY" > "$SMOKE/cold.json"
 "$SERVE" --addr "$ADDR" --post /query --body "$QUERY" > "$SMOKE/warm.json"
@@ -104,11 +108,23 @@ diff -u "$SMOKE/cold.json" "$SMOKE/warm.json"
 grep -q '"mppu"' "$SMOKE/cold.json"
 grep -q '"total_usd"' "$SMOKE/cold.json"
 "$SERVE" --addr "$ADDR" --post /healthz | grep -q '"status":"ok"'
-"$SERVE" --addr "$ADDR" --post /metrics | grep -q 'serve.query.hit_ratio'
+"$SERVE" --addr "$ADDR" --post /metrics > "$SMOKE/metrics.json"
+grep -q 'serve.query.hit_ratio' "$SMOKE/metrics.json"
+# The cold + warm pair synthesises MPPU once; the warm answer reads the memo.
+grep -q '"serve.mppu.synthesized":1[,}]' "$SMOKE/metrics.json"
 "$SERVE" --addr "$ADDR" --post /shutdown | grep -q '"draining":true'
 wait "$SERVE_PID"
 grep -q 'drained, shutting down' "$SMOKE/serve.out"
-echo "heb_serve smoke: warm replay byte-identical, drained cleanly"
+# A restarted server has an empty MPPU memo but a warm result cache:
+# its answer (memo miss, cache hit) must still match the cold body.
+start_serve "$SMOKE/serve-restart.out"
+"$SERVE" --addr "$ADDR" --post /query --body "$QUERY" > "$SMOKE/restart.json"
+diff -u "$SMOKE/cold.json" "$SMOKE/restart.json"
+"$SERVE" --addr "$ADDR" --post /metrics | grep -q '"serve.query.cache_hits":1[,}]'
+"$SERVE" --addr "$ADDR" --post /shutdown | grep -q '"draining":true'
+wait "$SERVE_PID"
+grep -q 'drained, shutting down' "$SMOKE/serve-restart.out"
+echo "heb_serve smoke: warm replay and warm-cache restart byte-identical, drained cleanly"
 
 echo "== telemetry-overhead guard (NullRecorder within 5% of baseline)"
 cargo bench -q -p heb-bench --bench microbench -- --telemetry-guard
