@@ -32,8 +32,6 @@ pub struct FnDef {
     pub name: String,
     /// 0-based line of the `fn` keyword.
     pub line: usize,
-    /// Whether a `#[deprecated]` attribute precedes it.
-    pub deprecated: bool,
     /// Whether it sits inside a `#[cfg(test)]` span.
     pub in_test: bool,
     /// 0-based inclusive line range of the body braces.
@@ -109,15 +107,6 @@ pub struct FileIndex {
     pub matches: Vec<MatchDef>,
     /// `use` declarations.
     pub uses: Vec<UseDecl>,
-}
-
-impl FileIndex {
-    /// Names of every function defined in this file (any role),
-    /// used for HEB010's local-definition preference.
-    #[must_use]
-    pub fn fn_names(&self) -> BTreeSet<&str> {
-        self.fns.iter().map(|f| f.name.as_str()).collect()
-    }
 }
 
 /// Fills each function's `taints` with HEB007 taint-token hits found
@@ -200,9 +189,8 @@ pub fn encode(fa: &FileAnalysis) -> String {
     let idx = &fa.index;
     for f in &idx.fns {
         out.push_str(&format!(
-            "F\t{}\t{}{}\t{}\t{}\t{}\n",
+            "F\t{}\t{}\t{}\t{}\t{}\n",
             f.line,
-            flag(f.deprecated),
             flag(f.in_test),
             f.body.0,
             f.body.1,
@@ -301,15 +289,14 @@ pub fn decode(text: &str, path: &str) -> Option<FileAnalysis> {
             }
             "F" => {
                 let line_no: usize = parts.next()?.parse().ok()?;
-                let flags = parts.next()?;
+                let in_test = parts.next()? == "1";
                 let body0: usize = parts.next()?.parse().ok()?;
                 let body1: usize = parts.next()?.parse().ok()?;
                 let name = unesc(parts.next()?);
                 fa.index.fns.push(FnDef {
                     name,
                     line: line_no,
-                    deprecated: flags.starts_with('1'),
-                    in_test: flags.ends_with('1') && flags.len() == 2,
+                    in_test,
                     body: (body0, body1),
                     calls: Vec::new(),
                     taints: Vec::new(),

@@ -1,6 +1,6 @@
 //! A token-tree parser over the scrubbed code channel.
 //!
-//! The lexical rules only need per-line token scans, but HEB007–HEB010
+//! The lexical rules only need per-line token scans, but HEB007–HEB009
 //! need *structure*: which functions exist, what they call, which
 //! `impl` blocks define which methods, which `match` expressions have
 //! which arms. This module builds that structure without `syn` (the
@@ -141,55 +141,30 @@ impl Parser<'_> {
     /// contain `fn`-pointer types and path tokens that would misparse
     /// as items, so those are skipped whole.
     fn scan(&mut self, mut i: usize, end: usize) {
-        let mut deprecated_pending = false;
         while i < end {
             match self.text(i) {
-                "#" => i = self.attr(i, &mut deprecated_pending),
-                "use" => {
-                    i = self.use_decl(i, end);
-                    deprecated_pending = false;
-                }
-                "fn" if is_ident(self.text(i + 1)) => {
-                    i = self.fn_def(i, end, deprecated_pending);
-                    deprecated_pending = false;
-                }
-                "impl" => {
-                    i = self.impl_block(i, end);
-                    deprecated_pending = false;
-                }
-                "enum" if is_ident(self.text(i + 1)) => {
-                    i = self.enum_def(i, end);
-                    deprecated_pending = false;
-                }
-                "match" => {
-                    i = self.match_expr(i, end);
-                    deprecated_pending = false;
-                }
-                ";" | "{" | "}" => {
-                    deprecated_pending = false;
-                    i += 1;
-                }
+                "#" => i = self.attr(i),
+                "use" => i = self.use_decl(i, end),
+                "fn" if is_ident(self.text(i + 1)) => i = self.fn_def(i, end),
+                "impl" => i = self.impl_block(i, end),
+                "enum" if is_ident(self.text(i + 1)) => i = self.enum_def(i, end),
+                "match" => i = self.match_expr(i, end),
                 _ => i += 1,
             }
         }
     }
 
-    /// `#[attr(…)]` / `#![attr]`: records whether it is `deprecated`
-    /// and returns the position after the attribute. Inner (`#!`)
-    /// attributes never mark the next item.
-    fn attr(&mut self, i: usize, deprecated_pending: &mut bool) -> usize {
-        let (bracket, outer) = if self.text(i + 1) == "[" {
-            (i + 1, true)
+    /// `#[attr(…)]` / `#![attr]`: returns the position after the
+    /// attribute, so nothing inside it parses as an item.
+    fn attr(&self, i: usize) -> usize {
+        let bracket = if self.text(i + 1) == "[" {
+            i + 1
         } else if self.text(i + 1) == "!" && self.text(i + 2) == "[" {
-            (i + 2, false)
+            i + 2
         } else {
             return i + 1;
         };
-        let close = self.close[bracket];
-        if outer && (bracket + 1..close).any(|k| self.text(k) == "deprecated") {
-            *deprecated_pending = true;
-        }
-        close + 1
+        self.close[bracket] + 1
     }
 
     /// `use a::b::{c, d};` — recorded as one path string.
@@ -208,7 +183,7 @@ impl Parser<'_> {
     /// `fn name…(…) … { body }` — records the def with its body line
     /// range and call-shaped token runs, then resumes *inside* the
     /// body so nested items are still found.
-    fn fn_def(&mut self, i: usize, end: usize, deprecated: bool) -> usize {
+    fn fn_def(&mut self, i: usize, end: usize) -> usize {
         let line = self.toks[i].line;
         let name = self.text(i + 1).to_string();
         // Find the body: skip parameter/return groups; `;` means a
@@ -237,7 +212,6 @@ impl Parser<'_> {
         self.out.fns.push(FnDef {
             name,
             line,
-            deprecated,
             in_test: self.in_test(line),
             body: span,
             calls,
@@ -548,17 +522,6 @@ mod tests {
         let idx = parse("fn a() {\n    assert!(x);\n    if cond() { loop {} }\n    return;\n}\n");
         let names: Vec<&str> = idx.fns[0].calls.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["cond"]);
-    }
-
-    #[test]
-    fn deprecated_attribute_marks_the_next_fn_only() {
-        let idx = parse(
-            "#[deprecated(note = \"use run\")]\npub fn run_one() {}\npub fn run() {}\n\
-             #[derive(Debug)]\nstruct S;\nfn other() {}\n",
-        );
-        assert!(idx.fns[0].deprecated, "{:?}", idx.fns);
-        assert!(!idx.fns[1].deprecated);
-        assert!(!idx.fns[2].deprecated);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The workspace symbol table, the conservative call-reachability
-//! graph, and the cross-file rules built on them (HEB007, HEB008's
-//! wildcard check, HEB010).
+//! graph, and the cross-file rules built on them (HEB007 and HEB008's
+//! wildcard check).
 //!
 //! Name resolution is deliberately conservative (documented in DESIGN
 //! §8): a call resolves to every *same-file* function of that name
@@ -46,7 +46,6 @@ pub(crate) fn cross_file(
     let mut out = Vec::new();
     heb007_hash_taint(files, analyses, &mut out);
     heb008_wildcards(files, analyses, &mut out);
-    heb010_deprecated_callers(files, analyses, &mut out);
     out
 }
 
@@ -223,58 +222,6 @@ fn heb008_wildcards(
                               fails the gate until each dispatch site decides"
                         .to_string(),
                     snippet: snippet(source, wild),
-                });
-            }
-        }
-    }
-}
-
-/// HEB010: no new callers of `#[deprecated]` functions outside the
-/// file that defines them. A file that defines its *own* function of
-/// the same name is exempt (the call is local, not the shim).
-fn heb010_deprecated_callers(
-    files: &[(String, FileContext)],
-    analyses: &[FileAnalysis],
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut deprecated: BTreeMap<&str, &str> = BTreeMap::new();
-    for (fi, (_, ctx)) in files.iter().enumerate() {
-        for f in &analyses[fi].index.fns {
-            if f.deprecated {
-                deprecated
-                    .entry(f.name.as_str())
-                    .or_insert(ctx.path.as_str());
-            }
-        }
-    }
-    if deprecated.is_empty() {
-        return;
-    }
-    for (fi, (source, ctx)) in files.iter().enumerate() {
-        let local = analyses[fi].index.fn_names();
-        let defines_deprecated_here = analyses[fi].index.fns.iter().any(|f| f.deprecated);
-        if defines_deprecated_here {
-            continue; // the defining file may reference its own shims (e.g. pinned tests)
-        }
-        for f in &analyses[fi].index.fns {
-            for call in &f.calls {
-                let Some(def_path) = deprecated.get(call.name.as_str()) else {
-                    continue;
-                };
-                if local.contains(call.name.as_str()) {
-                    continue;
-                }
-                out.push(Diagnostic {
-                    rule: "HEB010",
-                    path: ctx.path.clone(),
-                    line: call.line + 1,
-                    message: format!(
-                        "call to `#[deprecated]` `{}` (defined in {def_path}): the shims \
-                         exist only so old call sites keep compiling during migration — \
-                         use `FleetEngine::run(&batch, &RunPolicy)` instead",
-                        call.name
-                    ),
-                    snippet: snippet(source, call.line),
                 });
             }
         }

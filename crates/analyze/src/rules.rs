@@ -11,7 +11,6 @@
 //! | HEB007 | fns reachable from `Scenario` content hashing | no telemetry / clock / env / I/O taint anywhere on the hash path — call-graph generalisation of HEB005 |
 //! | HEB008 | `Sim` lib code + every `EventHandler` impl | no catch-all arms on event-core `Event` matches; every handler defines `next_activity` — a new variant must fail the gate |
 //! | HEB009 | `fleet`/`serve` lib code + the powersys `soa`/`agg` hot path | no order-sensitive `f64` reductions in functions that also use parallel constructs — float addition is not associative |
-//! | HEB010 | everywhere | no new callers of `#[deprecated]` shims outside their defining file |
 //! | HEB000 | everywhere | a malformed, reason-less, or (in the workspace gate) unused suppression comment |
 //!
 //! Suppressions: `// heb-analyze: allow(HEB003, why this is fine)` on
@@ -29,12 +28,11 @@
 //! so adding a crate forces a deliberate classification decision here
 //! instead of silently escaping the gate.
 //!
-//! HEB007–HEB010 are *semantic*: they consume the
+//! HEB007–HEB009 are *semantic*: they consume the
 //! [`FileIndex`](crate::index::FileIndex) built by
 //! [`parser`](crate::parser) — per-file for HEB008's handler
 //! completeness and HEB009, cross-file via
-//! [`reach`](crate::reach) for HEB007, HEB008's wildcard check, and
-//! HEB010.
+//! [`reach`](crate::reach) for HEB007 and HEB008's wildcard check.
 
 use crate::diagnostics::Diagnostic;
 use crate::index::FileIndex;
@@ -167,7 +165,6 @@ const REDUCTION_PATTERNS: &[&str] = &[
 /// All rule IDs, for validation of suppression directives.
 pub const RULES: &[&str] = &[
     "HEB001", "HEB002", "HEB003", "HEB004", "HEB005", "HEB006", "HEB007", "HEB008", "HEB009",
-    "HEB010",
 ];
 
 /// One-line summaries per rule (HEB000 included), for SARIF metadata.
@@ -208,10 +205,6 @@ pub const RULE_SUMMARIES: &[(&str, &str)] = &[
     (
         "HEB009",
         "no order-sensitive parallel f64 reductions in fleet/serve hot paths",
-    ),
-    (
-        "HEB010",
-        "no new callers of #[deprecated] shims outside their defining file",
     ),
 ];
 
@@ -600,7 +593,7 @@ pub fn apply_suppressions(
 
 /// Analyses one file's source under the given context, returning the
 /// post-suppression findings. This is the single-file view: the
-/// cross-file rules (HEB007, HEB008's wildcard half, HEB010) and
+/// cross-file rules (HEB007, HEB008's wildcard half) and
 /// unused-suppression reporting need the workspace pipeline
 /// ([`analyze_files`](crate::workspace::analyze_files)).
 #[must_use]

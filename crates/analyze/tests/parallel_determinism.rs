@@ -30,8 +30,8 @@ fn template(kind: usize, i: usize) -> String {
 }
 
 /// Fixed companion units that arm the cross-file rules: the event core
-/// (HEB008 variants), a tainted hash path (HEB007), and a deprecated
-/// shim with a cross-file caller (HEB010).
+/// (HEB008 variants) and a tainted hash path (HEB007), whose finding
+/// comes out of the cross-file reachability pass.
 fn static_units() -> Vec<(String, FileContext)> {
     vec![
         (
@@ -44,14 +44,6 @@ fn static_units() -> Vec<(String, FileContext)> {
              heb_telemetry::RecorderHandle::current();\n    h.id()\n}\n"
                 .to_string(),
             FileContext::lib("core", "crates/core/src/scenario.rs"),
-        ),
-        (
-            "#[deprecated(note = \"use run\")]\npub fn run_one(x: u32) -> u32 { x }\n".to_string(),
-            FileContext::lib("fleet", "crates/fleet/src/engine.rs"),
-        ),
-        (
-            "pub fn call(x: u32) -> u32 { run_one(x) }\n".to_string(),
-            FileContext::lib("serve", "crates/serve/src/caller.rs"),
         ),
     ]
 }

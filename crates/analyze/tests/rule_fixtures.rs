@@ -275,51 +275,6 @@ fn heb009_silent_on_serial_floats_and_parallel_integers() {
 }
 
 #[test]
-fn heb010_fires_on_cross_file_shim_caller() {
-    let u = units(&[
-        (
-            "heb010_shims.rs",
-            FileContext::lib("fleet", "crates/fleet/src/engine.rs"),
-        ),
-        (
-            "heb010_violation.rs",
-            FileContext::lib("serve", "crates/serve/src/caller.rs"),
-        ),
-    ]);
-    let (errors, warnings) = analyze_files(&u, 1);
-    assert!(warnings.is_empty());
-    assert_eq!(errors.len(), 1, "{errors:?}");
-    assert_eq!(errors[0].rule, "HEB010");
-    assert_eq!(errors[0].path, "crates/serve/src/caller.rs");
-    assert_eq!(errors[0].line, 5, "the run_one(x) call: {errors:?}");
-    assert!(
-        errors[0].message.contains("crates/fleet/src/engine.rs"),
-        "message names the defining file: {}",
-        errors[0].message
-    );
-}
-
-#[test]
-fn heb010_silent_on_local_namesakes_and_the_defining_file() {
-    let u = units(&[
-        (
-            "heb010_shims.rs",
-            FileContext::lib("fleet", "crates/fleet/src/engine.rs"),
-        ),
-        (
-            "heb010_clean.rs",
-            FileContext::lib("serve", "crates/serve/src/caller.rs"),
-        ),
-    ]);
-    let (errors, _) = analyze_files(&u, 1);
-    assert_eq!(
-        errors,
-        vec![],
-        "a local fn of the same name binds the call, not the shim"
-    );
-}
-
-#[test]
 fn unused_suppressions_warn_and_used_ones_do_not() {
     let src = "// heb-analyze: allow(HEB003, used: the line below unwraps)\n\
                pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\

@@ -143,12 +143,12 @@ fn bench_devices() {
 fn bench_simulation() {
     for policy in [PolicyKind::BaOnly, PolicyKind::ScFirst, PolicyKind::HebD] {
         bench(&format!("sim/one_slot/{}", policy.name()), 5, 10, || {
-            let mut sim = Simulation::new(
+            let sim = Simulation::new(
                 SimConfig::prototype().with_policy(policy),
                 &[Archetype::WebSearch, Archetype::Terasort],
                 42,
             );
-            black_box(sim.run_ticks(600));
+            black_box(SimDriver::tick(sim).run_ticks(600));
         });
     }
 }
@@ -598,7 +598,7 @@ fn slot_latency(attach_null: bool, runs: usize, iters: u64) -> f64 {
             if attach_null {
                 sim.set_recorder(heb_telemetry::null_recorder());
             }
-            black_box(sim.run_ticks(600));
+            black_box(SimDriver::tick(sim).run_ticks(600));
         }
         best = best.min(start.elapsed().as_secs_f64() / iters as f64);
     }

@@ -3,7 +3,7 @@
 
 use heb_bench::cli::BenchArgs;
 use heb_bench::{print_table, Figure, Series};
-use heb_core::experiments::deployment_comparison_with;
+use heb_core::experiments::deployment_comparison;
 use heb_core::SimConfig;
 use heb_units::{Joules, Watts};
 
@@ -18,7 +18,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut benefit_series = Vec::new();
     for racks in [2usize, 3, 4] {
-        let r = deployment_comparison_with(&engine, &base, racks, hours, cli.seed);
+        let r = deployment_comparison(&engine, &base, racks, hours, cli.seed);
         rows.push(vec![
             racks.to_string(),
             format!("{:.0} s", r.cluster_level.server_downtime.get()),

@@ -7,7 +7,7 @@
 
 use heb_bench::cli::BenchArgs;
 use heb_bench::{print_table, Figure, Series};
-use heb_core::experiments::fault_intensity_sweep_with;
+use heb_core::experiments::fault_intensity_sweep;
 use heb_core::SimConfig;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     // Three battery strings so string failures quarantine a slice of
     // the pool instead of all of it.
     let base = SimConfig::prototype().with_battery_strings(3);
-    let points = fault_intensity_sweep_with(&cli.engine(), &base, hours, &intensities, cli.seed);
+    let points = fault_intensity_sweep(&cli.engine(), &base, hours, &intensities, cli.seed);
 
     let rows: Vec<Vec<String>> = points
         .iter()

@@ -3,7 +3,7 @@
 
 use heb_bench::cli::BenchArgs;
 use heb_bench::{print_table, Figure, Series};
-use heb_core::experiments::outage_ride_through_with;
+use heb_core::experiments::outage_ride_through;
 use heb_core::SimConfig;
 use heb_units::Joules;
 
@@ -14,7 +14,7 @@ fn main() {
 
     for capacity_wh in [60.0, 150.0] {
         let base = SimConfig::prototype().with_total_capacity(Joules::from_watt_hours(capacity_wh));
-        let points = outage_ride_through_with(&engine, &base, 5.0, outage_minutes, cli.seed);
+        let points = outage_ride_through(&engine, &base, 5.0, outage_minutes, cli.seed);
         let rows: Vec<Vec<String>> = points
             .iter()
             .map(|p| {

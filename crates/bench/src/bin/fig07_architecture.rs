@@ -4,7 +4,7 @@
 
 use heb_bench::cli::BenchArgs;
 use heb_bench::{print_table, Figure, Series};
-use heb_core::experiments::architecture_comparison_with;
+use heb_core::experiments::architecture_comparison;
 use heb_core::SimConfig;
 use heb_units::Watts;
 
@@ -12,7 +12,7 @@ fn main() {
     let cli = BenchArgs::from_env(6.0, 2015);
     let hours = cli.hours;
     let base = SimConfig::prototype().with_budget(Watts::new(255.0));
-    let points = architecture_comparison_with(&cli.engine(), &base, hours, cli.seed);
+    let points = architecture_comparison(&cli.engine(), &base, hours, cli.seed);
 
     let rows: Vec<Vec<String>> = points
         .iter()

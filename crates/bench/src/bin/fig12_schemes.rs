@@ -13,7 +13,7 @@
 
 use heb_bench::cli::BenchArgs;
 use heb_bench::{print_table, Figure, Series};
-use heb_core::experiments::{deep_valley_absorption_with, scheme_comparison_with, SchemeResult};
+use heb_core::experiments::{deep_valley_absorption, scheme_comparison, SchemeResult};
 use heb_core::{PolicyKind, SimConfig};
 use heb_units::{Joules, Ratio, Seconds, Watts};
 use heb_workload::PeakClass;
@@ -96,8 +96,8 @@ fn main() {
     let seed = cli.seed;
     let engine = cli.engine();
 
-    let standard = scheme_comparison_with(&engine, &standard_config(), hours, solar_hours, seed);
-    let stressed = scheme_comparison_with(&engine, &stressed_config(), hours, 0.1, seed);
+    let standard = scheme_comparison(&engine, &standard_config(), hours, solar_hours, seed);
+    let stressed = scheme_comparison(&engine, &stressed_config(), hours, 0.1, seed);
     report(
         &standard,
         &stressed,
@@ -107,8 +107,7 @@ fn main() {
     );
 
     // Event-scale REU: the deep-valley absorption test.
-    let valley =
-        deep_valley_absorption_with(&engine, &standard_config(), Watts::new(230.0), 15.0, seed);
+    let valley = deep_valley_absorption(&engine, &standard_config(), Watts::new(230.0), 15.0, seed);
     let base_reu = valley
         .iter()
         .find(|v| v.policy == PolicyKind::BaOnly)
@@ -140,7 +139,7 @@ fn main() {
     // Ablations (each reruns the sweep with one knob varied).
     let ablate = |label: &str, configs: Vec<(String, SimConfig)>| {
         for (name, cfg) in configs {
-            let std_r = scheme_comparison_with(
+            let std_r = scheme_comparison(
                 &engine,
                 &cfg,
                 hours / 2.0,
@@ -152,7 +151,7 @@ fn main() {
             stress.delta_r = cfg.delta_r;
             stress.slot_length = cfg.slot_length;
             stress.pat_energy_bucket = cfg.pat_energy_bucket;
-            let str_r = scheme_comparison_with(&engine, &stress, hours / 2.0, 0.1, seed);
+            let str_r = scheme_comparison(&engine, &stress, hours / 2.0, 0.1, seed);
             report(&std_r, &str_r, &format!("ablation {label}: {name}"));
         }
     };

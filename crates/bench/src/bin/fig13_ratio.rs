@@ -2,7 +2,7 @@
 
 use heb_bench::cli::BenchArgs;
 use heb_bench::{print_table, Figure, Series};
-use heb_core::experiments::capacity_ratio_sweep_with;
+use heb_core::experiments::capacity_ratio_sweep;
 use heb_core::SimConfig;
 use heb_units::Watts;
 
@@ -13,7 +13,7 @@ fn main() {
     // wear (the paper's strongest Figure 13 trend); efficiency, REU and
     // downtime shift by smaller margins.
     let base = SimConfig::prototype().with_budget(Watts::new(245.0));
-    let points = capacity_ratio_sweep_with(
+    let points = capacity_ratio_sweep(
         &cli.engine(),
         &base,
         &[1, 2, 3, 4, 5],

@@ -2,7 +2,7 @@
 
 use heb_bench::cli::BenchArgs;
 use heb_bench::{print_table, Figure, Series};
-use heb_core::experiments::capacity_growth_sweep_with;
+use heb_core::experiments::capacity_growth_sweep;
 use heb_core::SimConfig;
 use heb_units::Watts;
 
@@ -11,7 +11,7 @@ fn main() {
     let hours = cli.hours;
     // Mild stress so the smallest configuration visibly struggles.
     let base = SimConfig::prototype().with_budget(Watts::new(240.0));
-    let points = capacity_growth_sweep_with(
+    let points = capacity_growth_sweep(
         &cli.engine(),
         &base,
         &[40, 50, 60, 70, 80],

@@ -29,10 +29,10 @@
 //!
 //! # Driver modes
 //!
-//! [`SimDriver::tick`] is the compatibility adapter: it schedules a
-//! per-second [`Event::Tick`] timer through the queue and dispatches
-//! [`Simulation::step`] for each, reproducing the legacy fixed loop
-//! exactly — golden traces and fleet cache hashes are unchanged.
+//! [`SimDriver::tick`] is the compatibility adapter: a plain loop that
+//! calls [`Simulation::step`] once per tick, reproducing the legacy
+//! fixed loop exactly — golden traces and fleet cache hashes are
+//! unchanged.
 //! [`SimDriver::event`] consults the handlers each iteration, leaps
 //! across provably quiet spans, and falls back to [`Simulation::step`]
 //! whenever any condition fails — so it is exact by construction and
@@ -132,8 +132,6 @@ impl SimClock {
 /// which is what keeps event mode exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// The per-second compatibility timer ([`SimDriver::tick`] mode).
-    Tick,
     /// A control-slot boundary (close the slot, re-plan, reconfigure
     /// relays).
     SlotBoundary,
@@ -341,9 +339,8 @@ impl EventHandler for UtilityFeed {
 /// How a [`SimDriver`] advances time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverMode {
-    /// The compatibility adapter: a per-second timer event dispatches
-    /// [`Simulation::step`] for every tick — bit-identical to the
-    /// legacy fixed loop.
+    /// The compatibility adapter: [`Simulation::step`] once per tick —
+    /// bit-identical to the legacy fixed loop.
     Tick,
     /// Event-to-event execution: leap across provably quiet spans,
     /// fall back to [`Simulation::step`] everywhere else.
@@ -437,7 +434,11 @@ impl SimDriver {
     /// Runs `ticks` metering ticks and returns the cumulative report.
     pub fn run_ticks(&mut self, ticks: u64) -> SimReport {
         match self.mode {
-            DriverMode::Tick => self.run_timer(ticks),
+            DriverMode::Tick => {
+                for _ in 0..ticks {
+                    self.sim.step();
+                }
+            }
             DriverMode::Event => self.run_event(ticks),
         }
         self.sim.snapshot()
@@ -445,20 +446,7 @@ impl SimDriver {
 
     /// Runs the given number of simulated hours.
     pub fn run_for_hours(&mut self, hours: f64) -> SimReport {
-        let ticks = (hours * 3600.0 / self.sim.config().tick.get()).round() as u64;
-        self.run_ticks(ticks)
-    }
-
-    /// The tick-compatibility adapter: a per-second timer event per
-    /// tick, each dispatching one [`Simulation::step`].
-    fn run_timer(&mut self, ticks: u64) {
-        for _ in 0..ticks {
-            self.queue.schedule(self.sim.clock().now(), Event::Tick);
-            // heb-analyze: allow(HEB003, the Tick was scheduled on the line above)
-            let due = self.queue.pop().expect("timer event just scheduled");
-            debug_assert_eq!(due.event, Event::Tick);
-            self.sim.step();
-        }
+        self.run_ticks(crate::scenario::ticks_for(self.sim.config(), hours))
     }
 
     /// Event-to-event execution up to `ticks` from now.
@@ -604,9 +592,9 @@ mod tests {
         }
         // clear() resets seq so a rebuilt schedule tie-breaks the same.
         let mut q = EventQueue::new();
-        q.schedule(Seconds::new(1.0), Event::Tick);
+        q.schedule(Seconds::new(1.0), Event::HorizonEnd);
         q.clear();
-        q.schedule(Seconds::new(1.0), Event::Tick);
+        q.schedule(Seconds::new(1.0), Event::HorizonEnd);
         assert_eq!(q.peek().map(|s| s.seq), Some(0));
     }
 

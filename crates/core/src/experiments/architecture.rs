@@ -9,10 +9,9 @@
 
 use crate::config::SimConfig;
 use crate::metrics::SimReport;
-use crate::scenario::{Scenario, ScenarioRunner, SerialRunner};
+use crate::scenario::{Scenario, ScenarioRunner};
 use heb_powersys::Topology;
 use heb_units::Joules;
-use heb_workload::Archetype;
 
 /// One architecture's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,15 +41,6 @@ fn topologies() -> [Topology; 4] {
     ]
 }
 
-const MIX: [Archetype; 6] = [
-    Archetype::WebSearch,
-    Archetype::Terasort,
-    Archetype::PageRank,
-    Archetype::Dfsioe,
-    Archetype::MediaStreaming,
-    Archetype::Hivebench,
-];
-
 /// Figure 7 as a scenario batch: one scenario per architecture, in
 /// figure order.
 #[must_use]
@@ -61,7 +51,7 @@ pub fn architecture_scenarios(base: &SimConfig, hours: f64, seed: u64) -> Vec<Sc
             Scenario::new(
                 format!("architecture/{}", topology.name()),
                 base.clone().with_topology(topology),
-                &MIX,
+                &super::MIXED_RACK,
                 hours,
                 seed,
             )
@@ -70,15 +60,10 @@ pub fn architecture_scenarios(base: &SimConfig, hours: f64, seed: u64) -> Vec<Sc
 }
 
 /// Runs the same configuration under all four architectures.
+///
+/// `runner` executes the batch; every runner returns the same bits.
 #[must_use]
-pub fn architecture_comparison(base: &SimConfig, hours: f64, seed: u64) -> Vec<ArchitecturePoint> {
-    architecture_comparison_with(&SerialRunner, base, hours, seed)
-}
-
-/// [`architecture_comparison`] executed by an arbitrary
-/// [`ScenarioRunner`].
-#[must_use]
-pub fn architecture_comparison_with(
+pub fn architecture_comparison(
     runner: &dyn ScenarioRunner,
     base: &SimConfig,
     hours: f64,
@@ -100,11 +85,12 @@ pub fn architecture_comparison_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SerialRunner;
     use heb_units::Watts;
 
     fn run() -> Vec<ArchitecturePoint> {
         let base = SimConfig::prototype().with_budget(Watts::new(255.0));
-        architecture_comparison(&base, 1.0, 7)
+        architecture_comparison(&SerialRunner, &base, 1.0, 7)
     }
 
     #[test]
@@ -124,7 +110,7 @@ mod tests {
         // same load, while an under-provisioned run shows the tax as a
         // collapse in scheme efficiency instead.
         let generous = SimConfig::prototype().with_budget(Watts::new(420.0));
-        let points = architecture_comparison(&generous, 0.5, 7);
+        let points = architecture_comparison(&SerialRunner, &generous, 0.5, 7);
         let utility = |n: &str| {
             points
                 .iter()

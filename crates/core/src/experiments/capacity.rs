@@ -10,10 +10,9 @@
 use crate::config::SimConfig;
 use crate::metrics::SimReport;
 use crate::policy::PolicyKind;
-use crate::scenario::{Scenario, ScenarioRunner, SerialRunner};
+use crate::scenario::{Scenario, ScenarioRunner};
 use crate::sim::PowerMode;
-use heb_units::{Joules, Ratio, Watts};
-use heb_workload::{Archetype, SolarTraceBuilder};
+use heb_units::{Joules, Ratio};
 
 /// One configuration's outcome in a capacity sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,33 +45,6 @@ impl CapacityPoint {
     }
 }
 
-/// The mixed rack both sweeps run (both peak classes represented).
-const MIX: [Archetype; 6] = [
-    Archetype::WebSearch,
-    Archetype::Terasort,
-    Archetype::PageRank,
-    Archetype::Dfsioe,
-    Archetype::MediaStreaming,
-    Archetype::Hivebench,
-];
-
-/// A sunrise-rotated solar trace so short solar runs see generation.
-fn sunrise_solar(seed: u64) -> heb_workload::PowerTrace {
-    let trace = SolarTraceBuilder::new(Watts::new(500.0))
-        .seed(seed)
-        .days(1.0)
-        .clouds_per_day(80.0)
-        .mean_cloud_secs(360.0)
-        .build();
-    let samples = trace.samples();
-    let rotated: Vec<_> = samples[6 * 3600..]
-        .iter()
-        .chain(&samples[..6 * 3600])
-        .copied()
-        .collect();
-    heb_workload::PowerTrace::new(rotated, trace.dt())
-}
-
 /// The two scenarios of one capacity point: the peak-shaving run and
 /// the solar (REU) run.
 fn point_scenarios(
@@ -83,10 +55,22 @@ fn point_scenarios(
     seed: u64,
 ) -> [Scenario; 2] {
     [
-        Scenario::new(format!("{label}/shave"), config.clone(), &MIX, hours, seed),
-        Scenario::new(format!("{label}/solar"), config, &MIX, solar_hours, seed)
-            .with_mode(PowerMode::Solar(sunrise_solar(seed)))
-            .with_initial_soc(Ratio::new_clamped(0.15)),
+        Scenario::new(
+            format!("{label}/shave"),
+            config.clone(),
+            &super::MIXED_RACK,
+            hours,
+            seed,
+        ),
+        Scenario::new(
+            format!("{label}/solar"),
+            config,
+            &super::MIXED_RACK,
+            solar_hours,
+            seed,
+        )
+        .with_mode(PowerMode::Solar(super::sunrise_solar(seed)))
+        .with_initial_soc(Ratio::new_clamped(0.15)),
     ]
 }
 
@@ -178,7 +162,7 @@ fn assemble_points(specs: Vec<PointSpec>, reports: Vec<SimReport>) -> Vec<Capaci
 
 /// Figure 13 as a scenario batch: two scenarios (peak-shave + solar)
 /// per ratio, in `sc_tenths` order. Assemble the runner's reports with
-/// [`capacity_ratio_sweep_with`] or by zipping pairs yourself.
+/// [`capacity_ratio_sweep`] or by zipping pairs yourself.
 #[must_use]
 pub fn capacity_ratio_scenarios(
     base: &SimConfig,
@@ -217,21 +201,10 @@ pub fn capacity_growth_scenarios(
 
 /// Figure 13: constant total capacity, SC:battery ratio sweep. The
 /// ratios are given as SC tenths (`&[1, 2, 3, 4, 5]` = 1:9 … 5:5).
+///
+/// `runner` executes the batch; every runner returns the same bits.
 #[must_use]
 pub fn capacity_ratio_sweep(
-    base: &SimConfig,
-    sc_tenths: &[u32],
-    hours: f64,
-    solar_hours: f64,
-    seed: u64,
-) -> Vec<CapacityPoint> {
-    capacity_ratio_sweep_with(&SerialRunner, base, sc_tenths, hours, solar_hours, seed)
-}
-
-/// [`capacity_ratio_sweep`] executed by an arbitrary
-/// [`ScenarioRunner`].
-#[must_use]
-pub fn capacity_ratio_sweep_with(
     runner: &dyn ScenarioRunner,
     base: &SimConfig,
     sc_tenths: &[u32],
@@ -247,21 +220,10 @@ pub fn capacity_ratio_sweep_with(
 /// Figure 14: constant 3:7 ratio, capacity grown by relaxing DoD. The
 /// same physical devices are managed at each DoD in `dod_percents`
 /// (e.g. `&[40, 50, 60, 70, 80]`), so usable capacity scales with DoD.
+///
+/// `runner` executes the batch; every runner returns the same bits.
 #[must_use]
 pub fn capacity_growth_sweep(
-    base: &SimConfig,
-    dod_percents: &[u32],
-    hours: f64,
-    solar_hours: f64,
-    seed: u64,
-) -> Vec<CapacityPoint> {
-    capacity_growth_sweep_with(&SerialRunner, base, dod_percents, hours, solar_hours, seed)
-}
-
-/// [`capacity_growth_sweep`] executed by an arbitrary
-/// [`ScenarioRunner`].
-#[must_use]
-pub fn capacity_growth_sweep_with(
     runner: &dyn ScenarioRunner,
     base: &SimConfig,
     dod_percents: &[u32],
@@ -277,11 +239,13 @@ pub fn capacity_growth_sweep_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SerialRunner;
+    use heb_units::Watts;
 
     #[test]
     fn ratio_sweep_produces_labels_and_fractions() {
         let base = SimConfig::prototype().with_budget(Watts::new(250.0));
-        let points = capacity_ratio_sweep(&base, &[1, 3, 5], 0.2, 1.0, 5);
+        let points = capacity_ratio_sweep(&SerialRunner, &base, &[1, 3, 5], 0.2, 1.0, 5);
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].label, "1:9");
         assert_eq!(points[2].label, "5:5");
@@ -302,7 +266,7 @@ mod tests {
         // A tight budget keeps a standing mismatch so the battery pool
         // is guaranteed to see real discharge in a short run.
         let base = SimConfig::prototype().with_budget(Watts::new(225.0));
-        let points = capacity_ratio_sweep(&base, &[1, 5], 1.0, 1.0, 7);
+        let points = capacity_ratio_sweep(&SerialRunner, &base, &[1, 5], 1.0, 1.0, 7);
         let wear = |p: &CapacityPoint| p.report.battery_life_used.get();
         assert!(
             wear(&points[0]) > 0.0,
@@ -319,7 +283,7 @@ mod tests {
     #[test]
     fn growth_sweep_scales_usable_capacity() {
         let base = SimConfig::prototype();
-        let points = capacity_growth_sweep(&base, &[40, 80], 0.2, 1.0, 5);
+        let points = capacity_growth_sweep(&SerialRunner, &base, &[40, 80], 0.2, 1.0, 5);
         assert_eq!(points.len(), 2);
         assert!(
             (points[1].total_capacity.get() / points[0].total_capacity.get() - 2.0).abs() < 1e-9,

@@ -9,7 +9,7 @@
 
 use crate::config::SimConfig;
 use crate::metrics::SimReport;
-use crate::scenario::{Scenario, ScenarioRunner, SerialRunner};
+use crate::scenario::{Scenario, ScenarioRunner};
 use heb_powersys::Topology;
 use heb_units::{Joules, Seconds};
 use heb_workload::Archetype;
@@ -148,27 +148,13 @@ pub fn deployment_scenarios(
 /// deployment styles, with equal total buffer capacity and equal total
 /// budget.
 ///
+/// `runner` executes the batch; every runner returns the same bits.
+///
 /// # Panics
 ///
 /// Panics if `racks` is zero.
 #[must_use]
 pub fn deployment_comparison(
-    base: &SimConfig,
-    racks: usize,
-    hours: f64,
-    seed: u64,
-) -> DeploymentResult {
-    deployment_comparison_with(&SerialRunner, base, racks, hours, seed)
-}
-
-/// [`deployment_comparison`] executed by an arbitrary
-/// [`ScenarioRunner`].
-///
-/// # Panics
-///
-/// Panics if `racks` is zero.
-#[must_use]
-pub fn deployment_comparison_with(
     runner: &dyn ScenarioRunner,
     base: &SimConfig,
     racks: usize,
@@ -189,6 +175,7 @@ pub fn deployment_comparison_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SerialRunner;
     use heb_units::Watts;
 
     fn run() -> DeploymentResult {
@@ -198,7 +185,7 @@ mod tests {
         let base = SimConfig::prototype()
             .with_budget(Watts::new(250.0))
             .with_total_capacity(Joules::from_watt_hours(50.0));
-        deployment_comparison(&base, 3, 4.0, 9)
+        deployment_comparison(&SerialRunner, &base, 3, 4.0, 9)
     }
 
     #[test]
@@ -243,6 +230,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one rack")]
     fn zero_racks_panics() {
-        let _ = deployment_comparison(&SimConfig::prototype(), 0, 1.0, 1);
+        let _ = deployment_comparison(&SerialRunner, &SimConfig::prototype(), 0, 1.0, 1);
     }
 }

@@ -12,7 +12,7 @@ use crate::config::SimConfig;
 use crate::faults::{FaultLedger, FaultProfile, FaultSchedule};
 use crate::metrics::SimReport;
 use crate::policy::PolicyKind;
-use crate::scenario::{Scenario, ScenarioRunner, SerialRunner};
+use crate::scenario::{Scenario, ScenarioRunner};
 use heb_units::{Ratio, Seconds};
 use heb_workload::Archetype;
 
@@ -81,20 +81,10 @@ pub fn fault_sweep_scenarios(
 ///
 /// Intensity 0 is the healthy baseline; 1 is the nominal pessimistic
 /// profile; higher values compress MTBFs proportionally.
+///
+/// `runner` executes the batch; every runner returns the same bits.
 #[must_use]
 pub fn fault_intensity_sweep(
-    base: &SimConfig,
-    hours: f64,
-    intensities: &[f64],
-    seed: u64,
-) -> Vec<FaultSweepPoint> {
-    fault_intensity_sweep_with(&SerialRunner, base, hours, intensities, seed)
-}
-
-/// [`fault_intensity_sweep`] executed by an arbitrary
-/// [`ScenarioRunner`].
-#[must_use]
-pub fn fault_intensity_sweep_with(
     runner: &dyn ScenarioRunner,
     base: &SimConfig,
     hours: f64,
@@ -125,10 +115,11 @@ pub fn fault_intensity_sweep_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SerialRunner;
 
     fn sweep(intensities: &[f64]) -> Vec<FaultSweepPoint> {
         let base = SimConfig::prototype().with_battery_strings(3);
-        fault_intensity_sweep(&base, 1.0, intensities, 17)
+        fault_intensity_sweep(&SerialRunner, &base, 1.0, intensities, 17)
     }
 
     #[test]

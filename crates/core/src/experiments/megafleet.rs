@@ -20,8 +20,7 @@
 
 use crate::config::SimConfig;
 use crate::event::DriverMode;
-use crate::metrics::SimReport;
-use crate::scenario::{Scenario, ScenarioRunner, SerialRunner};
+use crate::scenario::Scenario;
 use heb_units::{Joules, Ratio, Seconds, Watts};
 use heb_workload::Archetype;
 
@@ -39,15 +38,6 @@ const BUDGET_PER_SERVER: Watts = Watts::new(50.0);
 /// Buffer capacity per server, matching the prototype rack's
 /// 150 Wh across 6 servers.
 const CAPACITY_WH_PER_SERVER: f64 = 25.0;
-
-/// One scale point of the megafleet day.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MegafleetPoint {
-    /// Fleet size in servers.
-    pub servers: usize,
-    /// The full report of the 24 h (or `hours`-long) day.
-    pub report: SimReport,
-}
 
 /// The megafleet configuration for a fleet of `servers`: prototype
 /// semantics, datacenter-scale sizing, and a coarse 60 s tick inside
@@ -85,38 +75,6 @@ pub fn megafleet_scenario(servers: usize, hours: f64, seed: u64) -> Scenario {
     )
     .with_steady_workload(Ratio::new_clamped(STEADY_LEVEL))
     .with_driver_mode(DriverMode::Event)
-}
-
-/// The scale trajectory as a scenario batch, one per entry of
-/// `scales`, smallest first.
-#[must_use]
-pub fn megafleet_scenarios(scales: &[usize], hours: f64, seed: u64) -> Vec<Scenario> {
-    scales
-        .iter()
-        .map(|&servers| megafleet_scenario(servers, hours, seed))
-        .collect()
-}
-
-/// Runs the megafleet day at every scale in `scales` serially.
-#[must_use]
-pub fn megafleet_day(scales: &[usize], hours: f64, seed: u64) -> Vec<MegafleetPoint> {
-    megafleet_day_with(&SerialRunner, scales, hours, seed)
-}
-
-/// [`megafleet_day`] executed by an arbitrary [`ScenarioRunner`].
-#[must_use]
-pub fn megafleet_day_with(
-    runner: &dyn ScenarioRunner,
-    scales: &[usize],
-    hours: f64,
-    seed: u64,
-) -> Vec<MegafleetPoint> {
-    let batch = megafleet_scenarios(scales, hours, seed);
-    scales
-        .iter()
-        .zip(runner.run_batch(&batch))
-        .map(|(&servers, report)| MegafleetPoint { servers, report })
-        .collect()
 }
 
 #[cfg(test)]
@@ -165,16 +123,6 @@ mod tests {
             .run()
             .expect("tick run");
         assert_eq!(event, tick);
-    }
-
-    #[test]
-    fn trajectory_reports_every_scale() {
-        let points = megafleet_day(&[64, 128], 0.5, 3);
-        assert_eq!(points.len(), 2);
-        assert!(points[0].report.utility_supplied < points[1].report.utility_supplied);
-        for p in &points {
-            assert_eq!(p.report.shed_events, 0);
-        }
     }
 
     #[test]

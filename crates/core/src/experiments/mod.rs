@@ -4,6 +4,12 @@
 //! structured result; the `heb-bench` binaries print them as the
 //! paper's tables/series and the integration tests assert the paper's
 //! qualitative findings on them.
+//!
+//! A scenario-based experiment exports two functions: its
+//! `*_scenarios` batch builder, and one function whose first argument
+//! is the [`ScenarioRunner`](crate::ScenarioRunner) that runs that
+//! batch — pass [`SerialRunner`](crate::SerialRunner) for a serial run,
+//! or the fleet engine to parallelise and cache it.
 
 mod architecture;
 mod assignment;
@@ -20,38 +26,58 @@ mod schemes;
 mod sharing;
 mod valley;
 
-pub use architecture::{
-    architecture_comparison, architecture_comparison_with, architecture_scenarios,
-    ArchitecturePoint,
-};
+use heb_units::Watts;
+use heb_workload::{Archetype, PowerTrace, SolarTraceBuilder};
+
+pub use architecture::{architecture_comparison, architecture_scenarios, ArchitecturePoint};
 pub use assignment::{assignment_sweep, AssignmentPoint};
 pub use capacity::{
-    capacity_growth_scenarios, capacity_growth_sweep, capacity_growth_sweep_with,
-    capacity_ratio_scenarios, capacity_ratio_sweep, capacity_ratio_sweep_with, CapacityPoint,
+    capacity_growth_scenarios, capacity_growth_sweep, capacity_ratio_scenarios,
+    capacity_ratio_sweep, CapacityPoint,
 };
 pub use chemistry::{chemistry_comparison, ChemistryPoint, DutyCycle};
-pub use deployment::{
-    deployment_comparison, deployment_comparison_with, deployment_scenarios, DeploymentResult,
-};
+pub use deployment::{deployment_comparison, deployment_scenarios, DeploymentResult};
 pub use discharge::{discharge_curves, DischargeCurve};
 pub use efficiency::{efficiency_characterization, EfficiencyResult};
-pub use faults::{
-    fault_intensity_sweep, fault_intensity_sweep_with, fault_sweep_scenarios, FaultSweepPoint,
-};
-pub use megafleet::{
-    megafleet_config, megafleet_day, megafleet_day_with, megafleet_scenario, megafleet_scenarios,
-    MegafleetPoint, MEGAFLEET_SCALES,
-};
-pub use outage::{outage_ride_through, outage_ride_through_with, outage_scenarios, OutagePoint};
+pub use faults::{fault_intensity_sweep, fault_sweep_scenarios, FaultSweepPoint};
+pub use megafleet::{megafleet_config, megafleet_scenario, MEGAFLEET_SCALES};
+pub use outage::{outage_ride_through, outage_scenarios, OutagePoint};
 pub use prediction::{predictor_comparison, PredictionPoint};
 pub use schemes::{
-    run_scheme, scheme_comparison, scheme_comparison_assemble, scheme_comparison_scenarios,
-    scheme_comparison_with, SchemeResult, WorkloadGroupResult,
+    scheme_comparison, scheme_comparison_scenarios, SchemeResult, WorkloadGroupResult,
 };
 pub use sharing::{sharing_comparison, SharingResult};
-pub use valley::{
-    deep_valley_absorption, deep_valley_absorption_with, valley_scenarios, ValleyPoint,
-};
+pub use valley::{deep_valley_absorption, valley_scenarios, ValleyPoint};
+
+/// The mixed rack of six archetypes — both peak classes represented —
+/// that the architecture, capacity and solar (REU) runs share.
+pub(crate) const MIXED_RACK: [Archetype; 6] = [
+    Archetype::WebSearch,
+    Archetype::Terasort,
+    Archetype::PageRank,
+    Archetype::Dfsioe,
+    Archetype::MediaStreaming,
+    Archetype::Hivebench,
+];
+
+/// A one-day 500 W solar trace rotated to start at sunrise, so short
+/// solar runs see generation immediately.
+pub(crate) fn sunrise_solar(seed: u64) -> PowerTrace {
+    let trace = SolarTraceBuilder::new(Watts::new(500.0))
+        .seed(seed)
+        .days(1.0)
+        .clouds_per_day(80.0)
+        .mean_cloud_secs(360.0)
+        .build();
+    let sunrise_tick = 6 * 3600;
+    let samples = trace.samples();
+    let rotated: Vec<_> = samples[sunrise_tick..]
+        .iter()
+        .chain(&samples[..sunrise_tick])
+        .copied()
+        .collect();
+    PowerTrace::new(rotated, trace.dt())
+}
 
 /// Pulls the next report off a runner's output while assembling an
 /// experiment result.

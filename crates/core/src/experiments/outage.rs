@@ -11,7 +11,7 @@
 use crate::config::SimConfig;
 use crate::event::SimClock;
 use crate::policy::PolicyKind;
-use crate::scenario::{Scenario, ScenarioRunner, SerialRunner};
+use crate::scenario::{Scenario, ScenarioRunner};
 use crate::sim::PowerMode;
 use heb_units::{Seconds, Watts};
 use heb_workload::{Archetype, PowerTrace};
@@ -68,19 +68,10 @@ pub fn outage_scenarios(
 
 /// Simulates a total feed outage of `outage_minutes`, preceded by
 /// `warmup_minutes` of normal budgeted operation, for every scheme.
+///
+/// `runner` executes the batch; every runner returns the same bits.
 #[must_use]
 pub fn outage_ride_through(
-    base: &SimConfig,
-    warmup_minutes: f64,
-    outage_minutes: f64,
-    seed: u64,
-) -> Vec<OutagePoint> {
-    outage_ride_through_with(&SerialRunner, base, warmup_minutes, outage_minutes, seed)
-}
-
-/// [`outage_ride_through`] executed by an arbitrary [`ScenarioRunner`].
-#[must_use]
-pub fn outage_ride_through_with(
     runner: &dyn ScenarioRunner,
     base: &SimConfig,
     warmup_minutes: f64,
@@ -116,9 +107,10 @@ pub fn outage_ride_through_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SerialRunner;
 
     fn run() -> Vec<OutagePoint> {
-        outage_ride_through(&SimConfig::prototype(), 5.0, 30.0, 13)
+        outage_ride_through(&SerialRunner, &SimConfig::prototype(), 5.0, 30.0, 13)
     }
 
     #[test]
@@ -145,7 +137,7 @@ mod tests {
     fn tiny_buffers_fail_fast() {
         let base =
             SimConfig::prototype().with_total_capacity(heb_units::Joules::from_watt_hours(10.0));
-        let points = outage_ride_through(&base, 2.0, 30.0, 13);
+        let points = outage_ride_through(&SerialRunner, &base, 2.0, 30.0, 13);
         for p in points {
             assert!(
                 p.survival.as_minutes() < 15.0,
@@ -162,8 +154,8 @@ mod tests {
             SimConfig::prototype().with_total_capacity(heb_units::Joules::from_watt_hours(30.0));
         let large =
             SimConfig::prototype().with_total_capacity(heb_units::Joules::from_watt_hours(120.0));
-        let s = outage_ride_through(&small, 2.0, 40.0, 3);
-        let l = outage_ride_through(&large, 2.0, 40.0, 3);
+        let s = outage_ride_through(&SerialRunner, &small, 2.0, 40.0, 3);
+        let l = outage_ride_through(&SerialRunner, &large, 2.0, 40.0, 3);
         for (a, b) in s.iter().zip(&l) {
             assert!(
                 b.survival >= a.survival,

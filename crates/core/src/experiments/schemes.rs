@@ -8,10 +8,10 @@
 use crate::config::SimConfig;
 use crate::metrics::SimReport;
 use crate::policy::PolicyKind;
-use crate::scenario::{Scenario, ScenarioRunner, SerialRunner};
+use crate::scenario::{Scenario, ScenarioRunner};
 use crate::sim::PowerMode;
-use heb_units::{Ratio, Seconds, Watts};
-use heb_workload::{Archetype, PeakClass, PowerTrace, SolarTraceBuilder};
+use heb_units::{Ratio, Seconds};
+use heb_workload::{Archetype, PeakClass};
 
 /// One workload's run under one scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,66 +118,14 @@ impl SchemeResult {
     }
 }
 
-/// A solar trace rotated to start at sunrise, so short runs exercise
-/// generation immediately.
-fn sunrise_aligned_solar(seed: u64) -> PowerTrace {
-    let trace = SolarTraceBuilder::new(Watts::new(500.0))
-        .seed(seed)
-        .days(1.0)
-        .clouds_per_day(80.0)
-        .mean_cloud_secs(360.0)
-        .build();
-    let sunrise_tick = 6 * 3600;
-    let samples = trace.samples();
-    let rotated: Vec<_> = samples[sunrise_tick..]
-        .iter()
-        .chain(&samples[..sunrise_tick])
-        .copied()
-        .collect();
-    PowerTrace::new(rotated, trace.dt())
-}
-
-/// Runs one policy on one workload for `hours` under the base config —
-/// through the same [`Scenario`] + driver path every batch runner uses,
-/// so a one-off run and its batch twin are the same code (and the same
-/// bits).
-#[must_use]
-pub fn run_scheme(
-    base: &SimConfig,
-    policy: PolicyKind,
-    workload: Archetype,
-    hours: f64,
-    seed: u64,
-) -> SimReport {
-    Scenario::new(
-        format!("schemes/{}/{}", policy.name(), workload.abbreviation()),
-        base.clone().with_policy(policy),
-        &[workload],
-        hours,
-        seed,
-    )
-    .run_expect()
-}
-
-/// The mixed rack the solar (REU) run uses.
-const SOLAR_MIX: [Archetype; 6] = [
-    Archetype::WebSearch,
-    Archetype::Terasort,
-    Archetype::PageRank,
-    Archetype::Dfsioe,
-    Archetype::MediaStreaming,
-    Archetype::Hivebench,
-];
-
 /// Scenarios per scheme in the Figure 12 batch: the eight workload
 /// runs plus the solar run.
 const SCENARIOS_PER_SCHEME: usize = Archetype::ALL.len() + 1;
 
 /// The Figure 12 sweep as a scenario batch: for every scheme, eight
 /// workload runs plus the solar REU run, in [`PolicyKind::ALL`] ×
-/// [`Archetype::ALL`] order. Feed the batch to any
-/// [`ScenarioRunner`] and assemble with
-/// [`scheme_comparison_assemble`].
+/// [`Archetype::ALL`] order; [`scheme_comparison`] runs and assembles
+/// it.
 #[must_use]
 pub fn scheme_comparison_scenarios(
     base: &SimConfig,
@@ -203,70 +151,28 @@ pub fn scheme_comparison_scenarios(
             Scenario::new(
                 format!("schemes/{}/solar", policy.name()),
                 base.clone().with_policy(policy),
-                &SOLAR_MIX,
+                &super::MIXED_RACK,
                 solar_hours,
                 seed,
             )
-            .with_mode(PowerMode::Solar(sunrise_aligned_solar(seed)))
+            .with_mode(PowerMode::Solar(super::sunrise_solar(seed)))
             .with_initial_soc(heb_units::Ratio::new_clamped(0.15)),
         );
     }
     batch
 }
 
-/// Pairs the reports of a [`scheme_comparison_scenarios`] batch back
-/// into per-scheme results.
-///
-/// # Panics
-///
-/// Panics if `reports` does not have one entry per scenario of the
-/// batch shape.
-#[must_use]
-pub fn scheme_comparison_assemble(base: &SimConfig, reports: Vec<SimReport>) -> Vec<SchemeResult> {
-    assert_eq!(
-        reports.len(),
-        PolicyKind::ALL.len() * SCENARIOS_PER_SCHEME,
-        "report count must match the scheme batch shape"
-    );
-    let mut out = Vec::with_capacity(PolicyKind::ALL.len());
-    let mut reports = reports.into_iter();
-    for &policy in &PolicyKind::ALL {
-        let per_workload = Archetype::ALL
-            .iter()
-            .map(|&workload| WorkloadGroupResult {
-                workload,
-                report: super::take_report(&mut reports, "workload report"),
-            })
-            .collect();
-        let solar = super::take_report(&mut reports, "solar report");
-        out.push(SchemeResult {
-            policy,
-            per_workload,
-            solar,
-            servers: base.servers,
-        });
-    }
-    out
-}
-
 /// The full Figure 12 sweep: every scheme × every workload for
 /// `hours_per_workload`, plus a `solar_hours` renewable run on a mixed
 /// rack.
+///
+/// `runner` executes the batch; every runner returns the same bits.
+///
+/// # Panics
+///
+/// Panics if `runner` does not return one report per scenario.
 #[must_use]
 pub fn scheme_comparison(
-    base: &SimConfig,
-    hours_per_workload: f64,
-    solar_hours: f64,
-    seed: u64,
-) -> Vec<SchemeResult> {
-    scheme_comparison_with(&SerialRunner, base, hours_per_workload, solar_hours, seed)
-}
-
-/// [`scheme_comparison`] executed by an arbitrary [`ScenarioRunner`] —
-/// the fleet engine parallelises and caches the batch, and the result
-/// is bit-identical to the serial sweep.
-#[must_use]
-pub fn scheme_comparison_with(
     runner: &dyn ScenarioRunner,
     base: &SimConfig,
     hours_per_workload: f64,
@@ -274,18 +180,45 @@ pub fn scheme_comparison_with(
     seed: u64,
 ) -> Vec<SchemeResult> {
     let batch = scheme_comparison_scenarios(base, hours_per_workload, solar_hours, seed);
-    scheme_comparison_assemble(base, runner.run_batch(&batch))
+    let reports = runner.run_batch(&batch);
+    assert_eq!(
+        reports.len(),
+        batch.len(),
+        "report count must match the scheme batch shape"
+    );
+    let mut reports = reports.into_iter();
+    PolicyKind::ALL
+        .iter()
+        .map(|&policy| {
+            let per_workload = Archetype::ALL
+                .iter()
+                .map(|&workload| WorkloadGroupResult {
+                    workload,
+                    report: super::take_report(&mut reports, "workload report"),
+                })
+                .collect();
+            let solar = super::take_report(&mut reports, "solar report");
+            SchemeResult {
+                policy,
+                per_workload,
+                solar,
+                servers: base.servers,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SerialRunner;
+    use heb_units::Watts;
 
     /// A trimmed sweep used by unit tests (the full-length version runs
     /// in the bench harness and integration tests).
     fn quick() -> Vec<SchemeResult> {
         let base = SimConfig::prototype().with_budget(Watts::new(250.0));
-        scheme_comparison(&base, 0.5, 2.0, 17)
+        scheme_comparison(&SerialRunner, &base, 0.5, 2.0, 17)
     }
 
     #[test]

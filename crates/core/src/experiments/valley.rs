@@ -13,7 +13,7 @@
 
 use crate::config::SimConfig;
 use crate::policy::PolicyKind;
-use crate::scenario::{Scenario, ScenarioRunner, SerialRunner};
+use crate::scenario::{Scenario, ScenarioRunner};
 use crate::sim::PowerMode;
 use heb_units::{Ratio, Watts};
 use heb_workload::{Archetype, PowerTrace};
@@ -64,20 +64,10 @@ pub fn valley_scenarios(
 /// drained (5 % SoC), the rack runs a steady low-noise workload, and
 /// generation holds `surplus` above the configured budget for
 /// `minutes`.
+///
+/// `runner` executes the batch; every runner returns the same bits.
 #[must_use]
 pub fn deep_valley_absorption(
-    base: &SimConfig,
-    surplus: Watts,
-    minutes: f64,
-    seed: u64,
-) -> Vec<ValleyPoint> {
-    deep_valley_absorption_with(&SerialRunner, base, surplus, minutes, seed)
-}
-
-/// [`deep_valley_absorption`] executed by an arbitrary
-/// [`ScenarioRunner`].
-#[must_use]
-pub fn deep_valley_absorption_with(
     runner: &dyn ScenarioRunner,
     base: &SimConfig,
     surplus: Watts,
@@ -99,9 +89,16 @@ pub fn deep_valley_absorption_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SerialRunner;
 
     fn run() -> Vec<ValleyPoint> {
-        deep_valley_absorption(&SimConfig::prototype(), Watts::new(230.0), 15.0, 4)
+        deep_valley_absorption(
+            &SerialRunner,
+            &SimConfig::prototype(),
+            Watts::new(230.0),
+            15.0,
+            4,
+        )
     }
 
     #[test]

@@ -41,13 +41,13 @@
 //! # Examples
 //!
 //! ```
-//! use heb_core::{PolicyKind, SimConfig, Simulation};
+//! use heb_core::{PolicyKind, SimConfig, SimDriver, Simulation};
 //! use heb_workload::Archetype;
 //!
 //! // Ten simulated minutes of Terasort under the dynamic HEB policy:
 //! let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-//! let mut sim = Simulation::new(config, &[Archetype::Terasort], 42);
-//! let report = sim.run_for_hours(0.2);
+//! let sim = Simulation::new(config, &[Archetype::Terasort], 42);
+//! let report = SimDriver::tick(sim).run_for_hours(0.2);
 //! assert!(report.energy_efficiency().get() > 0.5);
 //! ```
 

@@ -157,8 +157,8 @@ pub struct Scenario {
 
 impl Scenario {
     /// A utility-mode scenario spanning `hours` of simulated time. The
-    /// tick count is derived exactly as
-    /// [`Simulation::run_for_hours`] derives it, so scenario runs and
+    /// tick count is derived by [`ticks_for`], exactly as
+    /// [`SimDriver::run_for_hours`] derives it, so scenario runs and
     /// direct runs agree to the bit.
     #[must_use]
     pub fn new(
@@ -487,8 +487,8 @@ impl Scenario {
     }
 }
 
-/// Ticks covered by `hours` under `config` — the exact rounding
-/// [`Simulation::run_for_hours`] applies.
+/// Ticks covered by `hours` under `config` — the one rounding every
+/// hours-based run applies, [`SimDriver::run_for_hours`] included.
 #[must_use]
 pub fn ticks_for(config: &SimConfig, hours: f64) -> u64 {
     (hours * 3600.0 / config.tick.get()).round() as u64
@@ -723,8 +723,11 @@ mod tests {
             &[Archetype::WebSearch, Archetype::Terasort],
             11,
         );
-        let direct = sim.run_for_hours(0.2);
-        assert_eq!(report, direct);
+        // A raw step loop is the oracle: no driver on this side.
+        for _ in 0..base().ticks() {
+            sim.step();
+        }
+        assert_eq!(report, sim.snapshot());
     }
 
     #[test]

@@ -87,15 +87,15 @@ struct DischargeOutcome {
 /// # Examples
 ///
 /// ```
-/// use heb_core::{PolicyKind, SimConfig, Simulation};
+/// use heb_core::{PolicyKind, SimConfig, SimDriver, Simulation};
 /// use heb_workload::Archetype;
 ///
-/// let mut sim = Simulation::new(
+/// let sim = Simulation::new(
 ///     SimConfig::prototype().with_policy(PolicyKind::ScFirst),
 ///     &[Archetype::WebSearch],
 ///     7,
 /// );
-/// let report = sim.run_for_hours(0.1);
+/// let report = SimDriver::tick(sim).run_for_hours(0.1);
 /// assert!(report.sim_time.as_hours() > 0.09);
 /// ```
 #[derive(Debug)]
@@ -350,20 +350,6 @@ impl Simulation {
     #[must_use]
     pub fn slot_log(&self) -> &[SlotRecord] {
         &self.slot_log
-    }
-
-    /// Runs `ticks` metering ticks and returns the cumulative report.
-    pub fn run_ticks(&mut self, ticks: u64) -> SimReport {
-        for _ in 0..ticks {
-            self.step();
-        }
-        self.snapshot()
-    }
-
-    /// Runs the given number of simulated hours.
-    pub fn run_for_hours(&mut self, hours: f64) -> SimReport {
-        let ticks = (hours * 3600.0 / self.config.tick.get()).round() as u64;
-        self.run_ticks(ticks)
     }
 
     /// The report so far, with battery-lifetime projection attached.
@@ -1235,6 +1221,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::SimDriver;
     use crate::faults::FaultEvent;
     use heb_units::Ratio;
 
@@ -1248,8 +1235,7 @@ mod tests {
 
     #[test]
     fn runs_and_accumulates_time() {
-        let mut s = sim(PolicyKind::HebD);
-        let report = s.run_for_hours(0.5);
+        let report = SimDriver::tick(sim(PolicyKind::HebD)).run_for_hours(0.5);
         assert_eq!(report.sim_time, Seconds::from_hours(0.5));
         assert!(report.slots >= 2);
     }
@@ -1283,15 +1269,15 @@ mod tests {
         )
         .with_faults(schedule);
         s.set_recorder(std::sync::Arc::new(PanicRecorder));
-        let report = s.run_for_hours(0.5);
+        let report = SimDriver::tick(s).run_for_hours(0.5);
         assert!(report.slots >= 2);
     }
 
     #[test]
     fn ba_only_never_touches_sc() {
-        let mut s = sim(PolicyKind::BaOnly);
+        let mut s = SimDriver::tick(sim(PolicyKind::BaOnly));
         let report = s.run_for_hours(0.5);
-        assert!(s.buffers().sc_pool().is_empty());
+        assert!(s.sim().buffers().sc_pool().is_empty());
         assert!(report.pat_entries == 0);
     }
 
@@ -1301,8 +1287,8 @@ mod tests {
         let config = SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(150.0));
-        let mut s = Simulation::new(config, &[Archetype::Terasort], 3);
-        let report = s.run_for_hours(0.3);
+        let s = Simulation::new(config, &[Archetype::Terasort], 3);
+        let report = SimDriver::tick(s).run_for_hours(0.3);
         assert!(
             report.buffer_delivered.get() > 0.0,
             "buffers must shave the standing mismatch"
@@ -1321,8 +1307,9 @@ mod tests {
             .iter_mut()
             .for_each(|d| d.set_soc(Ratio::new_clamped(0.2)));
         let before = s.buffers().sc_available();
+        let mut s = SimDriver::tick(s);
         let report = s.run_for_hours(0.2);
-        assert!(s.buffers().sc_available() > before);
+        assert!(s.sim().buffers().sc_available() > before);
         assert!(report.charge_drawn.get() > 0.0);
     }
 
@@ -1333,8 +1320,8 @@ mod tests {
             .with_policy(PolicyKind::BaOnly)
             .with_budget(Watts::new(60.0))
             .with_total_capacity(Joules::from_watt_hours(2.0));
-        let mut s = Simulation::new(config, &[Archetype::Terasort], 1);
-        let report = s.run_for_hours(0.5);
+        let s = Simulation::new(config, &[Archetype::Terasort], 1);
+        let report = SimDriver::tick(s).run_for_hours(0.5);
         assert!(
             report.server_downtime.get() > 0.0,
             "starved rack must shed servers"
@@ -1350,11 +1337,11 @@ mod tests {
             .days(1.0)
             .build();
         let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-        let mut s =
+        let s =
             Simulation::new(config, &[Archetype::WebSearch], 9).with_mode(PowerMode::Solar(trace));
         // Run across midday so generation actually happens: skip to
         // 10:00 then run two hours.
-        let report = s.run_ticks(12 * 3600).clone();
+        let report = SimDriver::tick(s).run_ticks(12 * 3600);
         assert!(report.renewable_generated.get() > 0.0);
         let reu = report.reu();
         assert!(reu.get() > 0.0 && reu.get() <= 1.0);
@@ -1362,8 +1349,7 @@ mod tests {
 
     #[test]
     fn energy_accounting_is_consistent() {
-        let mut s = sim(PolicyKind::HebD);
-        let report = s.run_for_hours(1.0);
+        let report = SimDriver::tick(sim(PolicyKind::HebD)).run_for_hours(1.0);
         // delivered + discharge loss == drained
         assert!(
             ((report.buffer_delivered + report.discharge_loss) - report.buffer_drained)
@@ -1382,8 +1368,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let r1 = sim(PolicyKind::HebD).run_for_hours(0.3);
-        let r2 = sim(PolicyKind::HebD).run_for_hours(0.3);
+        let r1 = SimDriver::tick(sim(PolicyKind::HebD)).run_for_hours(0.3);
+        let r2 = SimDriver::tick(sim(PolicyKind::HebD)).run_for_hours(0.3);
         assert_eq!(r1.buffer_delivered, r2.buffer_delivered);
         assert_eq!(r1.server_downtime, r2.server_downtime);
     }
@@ -1437,9 +1423,9 @@ mod tests {
         let config = SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_battery_strings(3);
-        let mut s = Simulation::new(config, &[Archetype::WebSearch, Archetype::Terasort], 11)
+        let s = Simulation::new(config, &[Archetype::WebSearch, Archetype::Terasort], 11)
             .with_faults(schedule);
-        let report = s.run_for_hours(1.0);
+        let report = SimDriver::tick(s).run_for_hours(1.0);
         let ledger = &report.faults;
         assert_eq!(ledger.events_applied, 8, "every onset must be applied");
         // Everything recovers except the instantaneous ageing step.
@@ -1482,23 +1468,25 @@ mod tests {
     fn fully_blind_slot_degrades_forecast_instead_of_poisoning_it() {
         // The meter is dark for the whole of slot 1 (ticks 600..1200).
         let schedule = FaultSchedule::parse("meter-drop@600~600").unwrap();
-        let mut s = Simulation::new(
-            SimConfig::prototype().with_policy(PolicyKind::HebD),
-            &[Archetype::WebSearch, Archetype::Terasort],
-            11,
-        )
-        .with_faults(schedule);
+        let mut s = SimDriver::tick(
+            Simulation::new(
+                SimConfig::prototype().with_policy(PolicyKind::HebD),
+                &[Archetype::WebSearch, Archetype::Terasort],
+                11,
+            )
+            .with_faults(schedule),
+        );
         let report = s.run_ticks(1201);
         assert_eq!(report.faults.meter_gap_ticks, 600);
         assert_eq!(report.faults.forecast_fallbacks, 1);
         assert!(
-            s.controller().is_forecast_degraded(),
+            s.sim().controller().is_forecast_degraded(),
             "controller must be planning from last good values"
         );
         assert_eq!(report.slots, 2, "blind slots still count");
         // Recovery: the next fully metered slot clears the flag.
         let report = s.run_ticks(600);
-        assert!(!s.controller().is_forecast_degraded());
+        assert!(!s.sim().controller().is_forecast_degraded());
         assert_eq!(report.faults.forecast_fallbacks, 1);
     }
 
@@ -1512,7 +1500,7 @@ mod tests {
         let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
         let mix = [Archetype::WebSearch, Archetype::MediaStreaming];
 
-        let mut faulted =
+        let faulted =
             Simulation::new(config.clone(), &mix, 13).with_faults(FaultSchedule::scripted(vec![
                 FaultEvent::lasting(
                     Seconds::new(warmup as f64),
@@ -1520,13 +1508,13 @@ mod tests {
                     FaultKind::UtilityBlackout,
                 ),
             ]));
-        let a = faulted.run_ticks(warmup + outage);
+        let a = SimDriver::tick(faulted).run_ticks(warmup + outage);
 
         let mut samples = vec![config.budget; warmup as usize];
         samples.extend(vec![Watts::zero(); outage as usize]);
         let trace = PowerTrace::new(samples, config.tick);
-        let mut traced = Simulation::new(config, &mix, 13).with_mode(PowerMode::Solar(trace));
-        let b = traced.run_ticks(warmup + outage);
+        let traced = Simulation::new(config, &mix, 13).with_mode(PowerMode::Solar(trace));
+        let b = SimDriver::tick(traced).run_ticks(warmup + outage);
 
         assert_eq!(
             a.server_downtime, b.server_downtime,
@@ -1546,8 +1534,8 @@ mod tests {
         let config = SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(150.0));
-        let mut s = Simulation::new(config, &[Archetype::Terasort], 3).with_faults(schedule);
-        let report = s.run_for_hours(0.3);
+        let s = Simulation::new(config, &[Archetype::Terasort], 3).with_faults(schedule);
+        let report = SimDriver::tick(s).run_for_hours(0.3);
         assert!(
             report.shed_events > 0,
             "the stranded server must brown out during mismatches"
@@ -1563,14 +1551,18 @@ mod tests {
             .days(1.0)
             .build();
         let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-        let healthy = Simulation::new(config.clone(), &[Archetype::WebSearch], 9)
-            .with_mode(PowerMode::Solar(trace.clone()))
-            .run_ticks(12 * 3600);
+        let healthy = SimDriver::tick(
+            Simulation::new(config.clone(), &[Archetype::WebSearch], 9)
+                .with_mode(PowerMode::Solar(trace.clone())),
+        )
+        .run_ticks(12 * 3600);
         let schedule = FaultSchedule::parse("solar-drop@36000~3600").unwrap();
-        let faulted = Simulation::new(config, &[Archetype::WebSearch], 9)
-            .with_mode(PowerMode::Solar(trace))
-            .with_faults(schedule)
-            .run_ticks(12 * 3600);
+        let faulted = SimDriver::tick(
+            Simulation::new(config, &[Archetype::WebSearch], 9)
+                .with_mode(PowerMode::Solar(trace))
+                .with_faults(schedule),
+        )
+        .run_ticks(12 * 3600);
         assert_eq!(faulted.faults.solar_dropout_ticks, 3600);
         // Generation continues (the sun does not care) but use drops.
         assert_eq!(faulted.renewable_generated, healthy.renewable_generated);
@@ -1586,12 +1578,14 @@ mod tests {
                 Seconds::from_hours(1.0),
                 &crate::faults::FaultProfile::nominal().scaled(4.0),
             );
-            Simulation::new(
-                SimConfig::prototype().with_policy(PolicyKind::HebD),
-                &[Archetype::WebSearch, Archetype::Terasort],
-                11,
+            SimDriver::tick(
+                Simulation::new(
+                    SimConfig::prototype().with_policy(PolicyKind::HebD),
+                    &[Archetype::WebSearch, Archetype::Terasort],
+                    11,
+                )
+                .with_faults(schedule),
             )
-            .with_faults(schedule)
             .run_for_hours(1.0)
         };
         let r1 = run();
@@ -1648,8 +1642,10 @@ mod tests {
         );
         // Continuing past the leap must also agree (internal state —
         // LRU stamps, slot peaks, meter history — survived intact).
-        stepped.run_ticks(700);
-        leaped.run_ticks(700);
+        for _ in 0..700 {
+            stepped.step();
+            leaped.step();
+        }
         assert_eq!(stepped.snapshot(), leaped.snapshot());
         assert_eq!(stepped.slot_log(), leaped.slot_log());
         assert_same_meter_history(&stepped, &leaped);

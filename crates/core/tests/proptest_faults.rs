@@ -9,7 +9,7 @@
 
 use heb_core::{
     FaultEvent, FaultKind, FaultProfile, FaultSchedule, PolicyKind, PowerMode, SimConfig,
-    SimReport, Simulation,
+    SimDriver, SimReport, Simulation,
 };
 use heb_units::{Ratio, Seconds, Watts};
 use heb_workload::{Archetype, SolarTraceBuilder};
@@ -133,9 +133,9 @@ proptest! {
             .scaled(intensity)
             .sized(config.servers, strings, 1);
         let schedule = FaultSchedule::stochastic(seed, horizon, &profile);
-        let mut sim = Simulation::new(config, &[Archetype::WebSearch], seed)
+        let sim = Simulation::new(config, &[Archetype::WebSearch], seed)
             .with_faults(schedule.clone());
-        let report = sim.run_ticks(TICKS);
+        let report = SimDriver::tick(sim).run_ticks(TICKS);
         assert_chaos_invariants(&report, schedule.len());
     }
 
@@ -150,9 +150,9 @@ proptest! {
         let config = SimConfig::prototype()
             .with_policy(policy)
             .with_battery_strings(2);
-        let mut sim = Simulation::new(config, &[Archetype::Terasort], seed)
+        let sim = Simulation::new(config, &[Archetype::Terasort], seed)
             .with_faults(schedule.clone());
-        let report = sim.run_ticks(TICKS);
+        let report = SimDriver::tick(sim).run_ticks(TICKS);
         assert_chaos_invariants(&report, schedule.len());
     }
 
@@ -169,10 +169,10 @@ proptest! {
             .sized(config.servers, config.battery_strings, 1);
         let schedule = FaultSchedule::stochastic(seed, horizon, &profile);
         let trace = SolarTraceBuilder::new(Watts::new(400.0)).seed(seed).build();
-        let mut sim = Simulation::new(config, &[Archetype::WebSearch], seed)
+        let sim = Simulation::new(config, &[Archetype::WebSearch], seed)
             .with_mode(PowerMode::Solar(trace))
             .with_faults(schedule.clone());
-        let report = sim.run_ticks(TICKS);
+        let report = SimDriver::tick(sim).run_ticks(TICKS);
         assert_chaos_invariants(&report, schedule.len());
     }
 }

@@ -230,8 +230,7 @@ impl FleetEngine {
     }
 
     /// Executes `batch` under `policy` — the engine's single entry
-    /// point, replacing the old `run` / `run_one` / `run_hardened`
-    /// trio.
+    /// point.
     ///
     /// Cached scenarios are replayed without simulating; the rest are
     /// spread across the worker pool in submission order, bit-identical
@@ -247,36 +246,6 @@ impl FleetEngine {
     #[must_use]
     pub fn run(&self, batch: &[Scenario], policy: &RunPolicy) -> RunOutcome {
         self.execute(batch, policy.resolve(self.policy), policy.journal_ref())
-    }
-
-    /// Executes one scenario and returns its terminal outcome.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run` with a single-scenario batch and a `RunPolicy`"
-    )]
-    #[must_use]
-    pub fn run_one(&self, scenario: &Scenario) -> ScenarioOutcome {
-        let mut outcome = self.run(std::slice::from_ref(scenario), &RunPolicy::new());
-        outcome.outcomes.pop().unwrap_or(ScenarioOutcome {
-            index: 0,
-            label: scenario.label().to_string(),
-            hash: scenario.hash_hex(),
-            state: ScenarioState::Failed,
-            attempts: 0,
-            source: ReportSource::None,
-            report: None,
-            failure: Some(ScenarioFailure::Aborted),
-        })
-    }
-
-    /// Executes `batch` under the engine's robustness policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `run` with `RunPolicy::new().maybe_journal(journal)`"
-    )]
-    #[must_use]
-    pub fn run_hardened(&self, batch: &[Scenario], journal: Option<&RunJournal>) -> RunOutcome {
-        self.run(batch, &RunPolicy::new().maybe_journal(journal))
     }
 
     /// The probe / simulate / merge pipeline behind [`FleetEngine::run`],
@@ -879,17 +848,5 @@ mod tests {
         assert_eq!(overridden.outcomes[0].attempts, 1);
         // The engine policy itself is untouched.
         assert_eq!(engine.policy().max_retries, 2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_single_entry_point() {
-        let batch = batch();
-        let engine = FleetEngine::new(2);
-        let via_run = engine.run(&batch, &RunPolicy::new());
-        assert_eq!(engine.run_hardened(&batch, None), via_run);
-        let single = engine.run_one(&batch[0]);
-        assert_eq!(single.state, ScenarioState::Done);
-        assert_eq!(single.report, via_run.outcomes[0].report);
     }
 }

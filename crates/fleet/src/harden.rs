@@ -182,8 +182,7 @@ pub struct RunPolicy<'a> {
 
 impl<'a> RunPolicy<'a> {
     /// A policy that inherits every knob from the engine and attaches
-    /// no journal — the drop-in equivalent of the old `run_hardened`
-    /// with `journal: None`.
+    /// no journal.
     #[must_use]
     pub fn new() -> Self {
         Self::default()

@@ -5,7 +5,10 @@
 use std::fs;
 use std::path::PathBuf;
 
-use heb_core::experiments::{outage_scenarios, scheme_comparison_scenarios, valley_scenarios};
+use heb_core::experiments::{
+    capacity_ratio_sweep, outage_ride_through, outage_scenarios, scheme_comparison_scenarios,
+    valley_scenarios,
+};
 use heb_core::{Scenario, ScenarioRunner, SerialRunner, SimConfig};
 use heb_fleet::{FleetEngine, ResultCache, RunPolicy};
 use heb_units::Watts;
@@ -93,4 +96,20 @@ fn batch_order_is_submission_order() {
         .expect_reports();
     backward.reverse();
     assert_eq!(forward, backward, "results must track submission order");
+}
+
+/// The figure binaries run experiments through the fleet engine: the
+/// assembled results must equal the serial runner's.
+#[test]
+fn experiments_assemble_identically_through_the_engine() {
+    let base = SimConfig::prototype().with_budget(Watts::new(250.0));
+    let engine = FleetEngine::new(2);
+    assert_eq!(
+        capacity_ratio_sweep(&engine, &base, &[1, 3, 5], 0.1, 0.2, 5),
+        capacity_ratio_sweep(&SerialRunner, &base, &[1, 3, 5], 0.1, 0.2, 5),
+    );
+    assert_eq!(
+        outage_ride_through(&engine, &base, 1.0, 4.0, 13),
+        outage_ride_through(&SerialRunner, &base, 1.0, 4.0, 13),
+    );
 }

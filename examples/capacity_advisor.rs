@@ -9,6 +9,7 @@
 //! ```
 
 use heb::core::experiments::capacity_ratio_sweep;
+use heb::core::SerialRunner;
 use heb::tco::{PeakShavingModel, RoiModel, SchemeEconomics};
 use heb::units::Dollars;
 use heb::{SimConfig, SimError, Watts};
@@ -17,7 +18,7 @@ fn main() -> Result<(), SimError> {
     // 1. Performance side: sweep SC share at constant total capacity.
     println!("== performance vs SC:battery ratio (HEB-D, equal total capacity) ==");
     let base = SimConfig::builder().budget(Watts::new(250.0)).build()?;
-    let points = capacity_ratio_sweep(&base, &[1, 3, 5], 2.0, 2.0, 9);
+    let points = capacity_ratio_sweep(&SerialRunner, &base, &[1, 3, 5], 2.0, 2.0, 9);
     for p in &points {
         let (eff, downtime, _, reu) = p.metrics();
         println!(

@@ -11,19 +11,19 @@
 //! ```
 
 use heb::workload::Archetype;
-use heb::{PolicyKind, SimConfig, SimError, Simulation, Watts};
+use heb::{PolicyKind, SimConfig, SimDriver, SimError, Simulation, Watts};
 
 fn main() -> Result<(), SimError> {
     let config = SimConfig::builder()
         .policy(PolicyKind::HebD)
         .budget(Watts::new(250.0))
         .build()?;
-    let mut sim = Simulation::try_new(
+    let mut driver = SimDriver::tick(Simulation::try_new(
         config,
         &[Archetype::Terasort, Archetype::WebSearch, Archetype::Dfsioe],
         123,
-    )?;
-    let report = sim.run_for_hours(5.0);
+    )?);
+    let report = driver.run_for_hours(5.0);
 
     println!(
         "{:>4}  {:>10} {:>10} {:>8}  {:>7} {:>7}",
@@ -31,7 +31,7 @@ fn main() -> Result<(), SimError> {
     );
     let mut abs_err = 0.0;
     let mut count = 0usize;
-    for rec in sim.slot_log() {
+    for rec in driver.sim().slot_log() {
         println!(
             "{:>4}  {:>8.1} W {:>8.1} W {:>8.2}  {:>6.1}% {:>6.1}%",
             rec.slot,

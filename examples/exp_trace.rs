@@ -13,7 +13,7 @@
 
 use heb::telemetry::json_field;
 use heb::workload::Archetype;
-use heb::{FaultSchedule, JsonlRecorder, PolicyKind, SimConfig, Simulation};
+use heb::{FaultSchedule, JsonlRecorder, PolicyKind, SimConfig, SimDriver, Simulation};
 use std::sync::Arc;
 
 fn capture(path: &str) -> Result<(), Box<dyn std::error::Error>> {
@@ -25,9 +25,9 @@ fn capture(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     )?
     .with_faults(FaultSchedule::parse("brownout(0.9)@3600~1200")?);
     sim.set_recorder(Arc::new(JsonlRecorder::create(path)?));
-    let report = sim.run_for_hours(3.0);
-    // Drop the simulation so the recorder flushes before we re-read.
-    drop(sim);
+    // The driver is a temporary: it drops the simulation at the end of
+    // this statement, so the recorder flushes before we re-read.
+    let report = SimDriver::tick(sim).run_for_hours(3.0);
     println!(
         "captured 3 h of HEB-D telemetry to {path} (efficiency {:.1})",
         report.energy_efficiency()

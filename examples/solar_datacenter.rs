@@ -11,8 +11,9 @@
 //! ```
 
 use heb::core::experiments::deep_valley_absorption;
+use heb::core::SerialRunner;
 use heb::workload::{Archetype, SolarTraceBuilder};
-use heb::{PolicyKind, PowerMode, Ratio, SimConfig, SimError, Simulation, Watts};
+use heb::{PolicyKind, PowerMode, Ratio, SimConfig, SimDriver, SimError, Simulation, Watts};
 
 fn main() -> Result<(), SimError> {
     // A cloudy day on a 500 W array.
@@ -39,7 +40,7 @@ fn main() -> Result<(), SimError> {
         let mut sim =
             Simulation::try_new(config, &mix, 11)?.with_mode(PowerMode::Solar(trace.clone()));
         sim.set_buffer_soc(Ratio::new_clamped(0.15));
-        let report = sim.run_for_hours(24.0);
+        let report = SimDriver::tick(sim).run_for_hours(24.0);
         println!(
             "  {:<8} REU {:>5.1}%  (generated {:>6.1} Wh, used {:>6.1} Wh)",
             policy.name(),
@@ -52,7 +53,13 @@ fn main() -> Result<(), SimError> {
     // One deep valley: a 230 W surplus window of 15 minutes hitting
     // drained buffers — where the charge-current asymmetry bites.
     println!("\ndeep-valley absorption (230 W surplus, 15 min, drained buffers):");
-    for point in deep_valley_absorption(&SimConfig::prototype(), Watts::new(230.0), 15.0, 3) {
+    for point in deep_valley_absorption(
+        &SerialRunner,
+        &SimConfig::prototype(),
+        Watts::new(230.0),
+        15.0,
+        3,
+    ) {
         println!(
             "  {:<8} window REU {:>5.1}%  absorbed {:>5.1} Wh",
             point.policy.name(),

@@ -11,7 +11,7 @@
 //! ```
 
 use heb::workload::Archetype;
-use heb::{Joules, PolicyKind, SimConfig, SimError, Simulation, Watts};
+use heb::{Joules, PolicyKind, SimConfig, SimDriver, SimError, Simulation, Watts};
 
 fn main() -> Result<(), SimError> {
     // Aggressive under-provisioning: the stress regime the paper uses
@@ -34,12 +34,12 @@ fn main() -> Result<(), SimError> {
 
     for policy in PolicyKind::ALL {
         let config = base.clone().with_policy(policy);
-        let mut sim = Simulation::try_new(
+        let sim = Simulation::try_new(
             config,
             &[Archetype::Terasort, Archetype::Dfsioe, Archetype::WebSearch],
             7,
         )?;
-        let report = sim.run_for_hours(6.0);
+        let report = SimDriver::tick(sim).run_for_hours(6.0);
         println!(
             "{:<8} {:>9.1}% {:>9.0}s {:>12} {:>10}",
             policy.name(),
@@ -52,14 +52,14 @@ fn main() -> Result<(), SimError> {
 
     // Peek inside HEB-D's learned allocation table.
     let config = base.with_policy(PolicyKind::HebD);
-    let mut sim = Simulation::try_new(
+    let mut driver = SimDriver::tick(Simulation::try_new(
         config,
         &[Archetype::Terasort, Archetype::Dfsioe, Archetype::WebSearch],
         7,
-    )?;
-    let _ = sim.run_for_hours(6.0);
+    )?);
+    let _ = driver.run_for_hours(6.0);
     println!("\nHEB-D's learned power-allocation table (bucketed):");
-    let mut entries: Vec<_> = sim.controller().pat().iter().collect();
+    let mut entries: Vec<_> = driver.sim().controller().pat().iter().collect();
     entries.sort_by_key(|(k, _)| (k.pm_bucket, k.sc_bucket, k.ba_bucket));
     for (key, entry) in entries.into_iter().take(12) {
         println!(

@@ -126,6 +126,22 @@ wait "$SERVE_PID"
 grep -q 'drained, shutting down' "$SMOKE/serve-restart.out"
 echo "heb_serve smoke: warm replay and warm-cache restart byte-identical, drained cleanly"
 
+echo "== figure-binary smoke (every fig*/exp_* binary, --jobs 1 vs --jobs 2 byte-identical)"
+# `cargo build --release` above builds only the root package.
+cargo build -q --release -p heb-bench
+mkdir "$SMOKE/figs"
+for src in crates/bench/src/bin/*.rs; do
+  bin="$(basename "$src" .rs)"
+  for jobs in 1 2; do
+    "target/release/$bin" --hours 0.05 --no-cache --jobs "$jobs" > "$SMOKE/figs/$bin.j$jobs.out"
+  done
+  # exp_megafleet prints wall-clock timings: only its exit status counts.
+  if [ "$bin" != exp_megafleet ]; then
+    diff -u "$SMOKE/figs/$bin.j1.out" "$SMOKE/figs/$bin.j2.out"
+  fi
+done
+echo "figure-binary smoke: $(ls crates/bench/src/bin/*.rs | wc -l) binaries ran, output independent of --jobs"
+
 echo "== telemetry-overhead guard (NullRecorder within 5% of baseline)"
 cargo bench -q -p heb-bench --bench microbench -- --telemetry-guard
 

@@ -13,7 +13,7 @@ use heb::telemetry::{MetricsRecorder, TeeRecorder};
 use heb::workload::{read_trace_csv, Archetype, SolarTraceBuilder};
 use heb::{
     FaultSchedule, Joules, JsonlRecorder, Metrics, PolicyKind, PowerMode, RecorderHandle, Seconds,
-    SimConfig, Simulation, Watts,
+    SimConfig, SimDriver, Simulation, Watts,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -211,7 +211,7 @@ fn run_one(
         1 => sim.set_recorder(branches.pop().expect("one branch")),
         _ => sim.set_recorder(Arc::new(TeeRecorder::new(branches))),
     }
-    Ok((sim.run_for_hours(opts.hours), metrics))
+    Ok((SimDriver::tick(sim).run_for_hours(opts.hours), metrics))
 }
 
 fn main() -> ExitCode {

@@ -29,14 +29,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use heb::{PolicyKind, SimConfig, Simulation};
+//! use heb::{PolicyKind, SimConfig, SimDriver, Simulation};
 //! use heb::workload::Archetype;
 //!
 //! // Simulate the scale-down prototype for half an hour under the
 //! // dynamic HEB policy:
 //! let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-//! let mut sim = Simulation::new(config, &[Archetype::WebSearch], 42);
-//! let report = sim.run_for_hours(0.5);
+//! let sim = Simulation::new(config, &[Archetype::WebSearch], 42);
+//! let report = SimDriver::tick(sim).run_for_hours(0.5);
 //! println!("buffer efficiency: {}", report.energy_efficiency());
 //! assert!(report.energy_efficiency().get() > 0.5);
 //! ```
@@ -56,7 +56,7 @@ pub use heb_workload as workload;
 pub use heb_core::{
     experiments, ConfigError, FaultInjector, FaultKind, FaultLedger, FaultProfile, FaultSchedule,
     HebController, HybridBuffers, PolicyKind, PowerAllocationTable, PowerMode, SimConfig,
-    SimConfigBuilder, SimError, SimReport, Simulation, SlotPlan,
+    SimConfigBuilder, SimDriver, SimError, SimReport, Simulation, SlotPlan,
 };
 pub use heb_esd::{Bank, LeadAcidBattery, StorageDevice, SuperCapacitor};
 pub use heb_telemetry::{

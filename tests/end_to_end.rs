@@ -3,7 +3,7 @@
 //! invariants that no single crate can verify alone.
 
 use heb::workload::{Archetype, SolarTraceBuilder};
-use heb::{Joules, PolicyKind, PowerMode, Ratio, SimConfig, Simulation, Watts};
+use heb::{Joules, PolicyKind, PowerMode, Ratio, SimConfig, SimDriver, Simulation, Watts};
 
 fn mixed_rack() -> [Archetype; 4] {
     [
@@ -18,8 +18,8 @@ fn mixed_rack() -> [Archetype; 4] {
 fn every_policy_survives_a_simulated_day() {
     for policy in PolicyKind::ALL {
         let config = SimConfig::prototype().with_policy(policy);
-        let mut sim = Simulation::new(config, &mixed_rack(), 99);
-        let report = sim.run_for_hours(24.0);
+        let sim = Simulation::new(config, &mixed_rack(), 99);
+        let report = SimDriver::tick(sim).run_for_hours(24.0);
         assert_eq!(report.sim_time.as_hours(), 24.0, "{policy}");
         assert!(report.slots >= 143, "{policy} ran {} slots", report.slots);
         // Energy books must balance to numerical noise.
@@ -45,11 +45,11 @@ fn buffer_energy_is_conserved_against_flows() {
     // Initial + stored − drained must equal final available, within the
     // kinetic slack a battery keeps between its wells.
     let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-    let mut sim = Simulation::new(config, &mixed_rack(), 5);
-    let initial = sim.buffers().total_available();
-    let report = sim.run_for_hours(6.0);
+    let mut driver = SimDriver::tick(Simulation::new(config, &mixed_rack(), 5));
+    let initial = driver.sim().buffers().total_available();
+    let report = driver.run_for_hours(6.0);
     let expected = initial + report.charge_stored - report.buffer_drained;
-    let actual = sim.buffers().total_available();
+    let actual = driver.sim().buffers().total_available();
     let drift = (expected - actual).get().abs();
     assert!(
         drift < 0.1 * initial.get().max(report.charge_stored.get()),
@@ -63,8 +63,8 @@ fn no_downtime_when_budget_covers_nameplate() {
     // ever shed a server.
     let config = SimConfig::prototype().with_budget(Watts::new(425.0));
     for policy in [PolicyKind::BaOnly, PolicyKind::HebD] {
-        let mut sim = Simulation::new(config.clone().with_policy(policy), &mixed_rack(), 3);
-        let report = sim.run_for_hours(4.0);
+        let sim = Simulation::new(config.clone().with_policy(policy), &mixed_rack(), 3);
+        let report = SimDriver::tick(sim).run_for_hours(4.0);
         assert_eq!(report.server_downtime.get(), 0.0, "{policy}");
         assert_eq!(report.shed_events, 0, "{policy}");
     }
@@ -79,8 +79,11 @@ fn deeper_underprovisioning_never_reduces_downtime() {
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(budget))
             .with_total_capacity(Joules::from_watt_hours(60.0));
-        let mut sim = Simulation::new(config, &mixed_rack(), 8);
-        let down = sim.run_for_hours(6.0).server_downtime.get();
+        let sim = Simulation::new(config, &mixed_rack(), 8);
+        let down = SimDriver::tick(sim)
+            .run_for_hours(6.0)
+            .server_downtime
+            .get();
         assert!(
             down >= last,
             "budget {budget}: downtime {down} fell below {last}"
@@ -97,8 +100,11 @@ fn bigger_buffers_never_hurt() {
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(240.0))
             .with_total_capacity(Joules::from_watt_hours(wh));
-        let mut sim = Simulation::new(config, &mixed_rack(), 21);
-        let down = sim.run_for_hours(6.0).server_downtime.get();
+        let sim = Simulation::new(config, &mixed_rack(), 21);
+        let down = SimDriver::tick(sim)
+            .run_for_hours(6.0)
+            .server_downtime
+            .get();
         assert!(
             down <= last,
             "{wh} Wh: downtime {down} above smaller buffer's {last}"
@@ -122,7 +128,7 @@ fn solar_rack_reu_is_a_valid_fraction_and_hybrids_lead() {
         let mut sim =
             Simulation::new(config, &mixed_rack(), 31).with_mode(PowerMode::Solar(trace.clone()));
         sim.set_buffer_soc(Ratio::new_clamped(0.15));
-        let report = sim.run_for_hours(24.0);
+        let report = SimDriver::tick(sim).run_for_hours(24.0);
         let reu = report.reu().get();
         assert!((0.0..=1.0).contains(&reu));
         match policy {
@@ -140,9 +146,9 @@ fn solar_rack_reu_is_a_valid_fraction_and_hybrids_lead() {
 fn relay_fabric_reflects_policy() {
     // BaOnly must never point a relay at the (empty) SC pool.
     let config = SimConfig::prototype().with_policy(PolicyKind::BaOnly);
-    let mut sim = Simulation::new(config, &mixed_rack(), 12);
-    let report = sim.run_for_hours(2.0);
-    assert!(sim.buffers().sc_pool().is_empty());
+    let mut driver = SimDriver::tick(Simulation::new(config, &mixed_rack(), 12));
+    let report = driver.run_for_hours(2.0);
+    assert!(driver.sim().buffers().sc_pool().is_empty());
     assert_eq!(report.pat_entries, 0);
 }
 
@@ -152,8 +158,8 @@ fn controller_learns_only_under_dynamic_policies() {
         let config = SimConfig::prototype()
             .with_policy(policy)
             .with_budget(Watts::new(245.0));
-        let mut sim = Simulation::new(config, &[Archetype::Terasort], 77);
-        sim.run_for_hours(8.0).pat_entries
+        let sim = Simulation::new(config, &[Archetype::Terasort], 77);
+        SimDriver::tick(sim).run_for_hours(8.0).pat_entries
     };
     assert_eq!(run(PolicyKind::ScFirst), 0);
     assert!(run(PolicyKind::HebD) > 0, "HEB-D must populate its PAT");
@@ -163,8 +169,8 @@ fn controller_learns_only_under_dynamic_policies() {
 fn identical_seeds_reproduce_identical_reports() {
     let make = || {
         let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-        let mut sim = Simulation::new(config, &mixed_rack(), 4242);
-        sim.run_for_hours(3.0)
+        let sim = Simulation::new(config, &mixed_rack(), 4242);
+        SimDriver::tick(sim).run_for_hours(3.0)
     };
     let a = make();
     let b = make();
@@ -176,11 +182,12 @@ fn buffers_cycle_rather_than_only_drain() {
     // Over a long run the buffers must both discharge and recharge —
     // the control loop is a cycle, not a one-way drain.
     let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-    let mut sim = Simulation::new(config, &mixed_rack(), 64);
-    let report = sim.run_for_hours(12.0);
+    let mut driver = SimDriver::tick(Simulation::new(config, &mixed_rack(), 64));
+    let report = driver.run_for_hours(12.0);
     assert!(report.buffer_delivered.get() > 0.0, "never discharged");
     assert!(report.charge_stored.get() > 0.0, "never recharged");
     // And the pools must end somewhere inside their window.
-    let soc = sim.buffers().total_available() / sim.buffers().total_capacity();
+    let buffers = driver.sim().buffers();
+    let soc = buffers.total_available() / buffers.total_capacity();
     assert!((0.0..=1.0 + 1e-9).contains(&soc));
 }

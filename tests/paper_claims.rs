@@ -7,6 +7,7 @@ use heb::core::experiments::{
     assignment_sweep, deep_valley_absorption, discharge_curves, efficiency_characterization,
     scheme_comparison,
 };
+use heb::core::SerialRunner;
 use heb::tco::{PeakShavingModel, RoiModel, SchemeEconomics, StorageTechnology};
 use heb::units::Dollars;
 use heb::workload::{ClusterTraceBuilder, PeakClass};
@@ -93,7 +94,7 @@ fn claim_fig6_interior_assignment_optimum() {
 #[test]
 fn claim_fig12a_efficiency_ordering() {
     let base = SimConfig::prototype();
-    let results = scheme_comparison(&base, 2.0, 0.2, 2015);
+    let results = scheme_comparison(&SerialRunner, &base, 2.0, 0.2, 2015);
     let eff = |p: PolicyKind, class| {
         results
             .iter()
@@ -121,7 +122,7 @@ fn claim_fig12b_downtime_ordering() {
     let base = SimConfig::prototype()
         .with_budget(Watts::new(245.0))
         .with_total_capacity(Joules::from_watt_hours(60.0));
-    let results = scheme_comparison(&base, 6.0, 0.2, 2015);
+    let results = scheme_comparison(&SerialRunner, &base, 6.0, 0.2, 2015);
     let down = |p: PolicyKind| {
         results
             .iter()
@@ -143,7 +144,7 @@ fn claim_fig12b_downtime_ordering() {
 #[test]
 fn claim_fig12c_battery_life_extension() {
     let base = SimConfig::prototype();
-    let results = scheme_comparison(&base, 4.0, 0.2, 2015);
+    let results = scheme_comparison(&SerialRunner, &base, 4.0, 0.2, 2015);
     let find = |p: PolicyKind| results.iter().find(|r| r.policy == p).unwrap();
     let improvement =
         find(PolicyKind::HebD).lifetime_improvement_vs(find(PolicyKind::BaOnly), 10.0);
@@ -157,7 +158,13 @@ fn claim_fig12c_battery_life_extension() {
 /// far more renewable energy than battery-only.
 #[test]
 fn claim_fig12d_deep_valley_reu() {
-    let points = deep_valley_absorption(&SimConfig::prototype(), Watts::new(230.0), 15.0, 2015);
+    let points = deep_valley_absorption(
+        &SerialRunner,
+        &SimConfig::prototype(),
+        Watts::new(230.0),
+        15.0,
+        2015,
+    );
     let reu = |p: PolicyKind| points.iter().find(|v| v.policy == p).unwrap().reu.get();
     let improvement = (reu(PolicyKind::HebD) - reu(PolicyKind::BaOnly)) / reu(PolicyKind::BaOnly);
     assert!(

@@ -3,7 +3,7 @@
 //! instrumentation.
 
 use heb::workload::Archetype;
-use heb::{Joules, PolicyKind, SimConfig, Simulation, Watts};
+use heb::{Joules, PolicyKind, SimConfig, SimDriver, Simulation, Watts};
 
 /// A 48-server hall with proportionally scaled budget and buffers.
 fn hall_config(policy: PolicyKind) -> SimConfig {
@@ -17,8 +17,8 @@ fn hall_config(policy: PolicyKind) -> SimConfig {
 
 #[test]
 fn datacenter_scale_run_holds_invariants() {
-    let mut sim = Simulation::new(hall_config(PolicyKind::HebD), &Archetype::ALL, 2024);
-    let report = sim.run_for_hours(6.0);
+    let sim = Simulation::new(hall_config(PolicyKind::HebD), &Archetype::ALL, 2024);
+    let report = SimDriver::tick(sim).run_for_hours(6.0);
     assert_eq!(report.sim_time.as_hours(), 6.0);
     assert!(report.buffer_delivered.get() > 0.0);
     assert!(
@@ -37,8 +37,8 @@ fn scale_out_preserves_scheme_ordering() {
     // The HEB-vs-BaOnly efficiency win must survive the jump from 6 to
     // 48 servers.
     let run = |policy| {
-        let mut sim = Simulation::new(hall_config(policy), &Archetype::ALL, 7);
-        sim.run_for_hours(4.0)
+        let sim = Simulation::new(hall_config(policy), &Archetype::ALL, 7);
+        SimDriver::tick(sim).run_for_hours(4.0)
     };
     let heb = run(PolicyKind::HebD);
     let ba = run(PolicyKind::BaOnly);
@@ -60,8 +60,8 @@ fn metering_noise_degrades_gracefully() {
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(250.0));
         config.metering_noise = noise;
-        let mut sim = Simulation::new(config, &[Archetype::Terasort, Archetype::WebSearch], 33);
-        sim.run_for_hours(6.0)
+        let sim = Simulation::new(config, &[Archetype::Terasort, Archetype::WebSearch], 33);
+        SimDriver::tick(sim).run_for_hours(6.0)
     };
     let clean = run(0.0);
     let noisy = run(0.03);
@@ -85,8 +85,8 @@ fn heavy_noise_is_survivable() {
     // panic or produce nonsense accounting.
     let mut config = SimConfig::prototype().with_policy(PolicyKind::HebD);
     config.metering_noise = 0.10;
-    let mut sim = Simulation::new(config, &[Archetype::Dfsioe], 1);
-    let report = sim.run_for_hours(2.0);
+    let sim = Simulation::new(config, &[Archetype::Dfsioe], 1);
+    let report = SimDriver::tick(sim).run_for_hours(2.0);
     assert!(report.energy_efficiency().in_unit_interval());
     assert!(report.server_downtime.get() >= 0.0);
 }
@@ -98,8 +98,8 @@ fn single_server_rack_works() {
     config.servers = 1;
     config.budget = Watts::new(45.0);
     config.total_capacity = Joules::from_watt_hours(25.0);
-    let mut sim = Simulation::new(config, &[Archetype::WebSearch], 3);
-    let report = sim.run_for_hours(2.0);
+    let sim = Simulation::new(config, &[Archetype::WebSearch], 3);
+    let report = SimDriver::tick(sim).run_for_hours(2.0);
     assert_eq!(report.sim_time.as_hours(), 2.0);
     assert!(report.energy_efficiency().in_unit_interval());
 }
