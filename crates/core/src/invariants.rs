@@ -1,5 +1,5 @@
-//! Runtime invariant checks, compiled only under the
-//! `strict-invariants` feature.
+//! Runtime invariant checks, compiled into every build with
+//! `debug_assertions` (every `cargo test`, no release build).
 //!
 //! These are the physical-conservation properties every HEB figure
 //! rests on, asserted *while the simulation runs* instead of only
@@ -14,11 +14,11 @@
 //!   feed than the supply limit in force that tick allows.
 //!
 //! The hooks in [`crate::Simulation::step`] and the slot-boundary path
-//! are themselves `#[cfg(feature = "strict-invariants")]`, so a release
-//! build without the feature carries zero overhead — not even a branch.
-//! The chaos suites (`crates/core/tests/proptest_faults.rs`) run under
-//! the feature in CI, so every randomized fault storm doubles as a
-//! conservation audit.
+//! are themselves `#[cfg(debug_assertions)]`, so a release build
+//! carries zero overhead — not even a branch — while every debug test
+//! run checks them: each randomized fault storm of the chaos suites
+//! (`crates/core/tests/proptest_faults.rs`) doubles as a conservation
+//! audit.
 //!
 //! All checks use `assert!`, which is permitted in simulation library
 //! code (heb-analyze HEB003 bans `unwrap`/`expect`/`panic!`, not

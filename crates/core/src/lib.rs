@@ -61,7 +61,7 @@ mod errors;
 pub mod event;
 pub mod experiments;
 mod faults;
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 pub mod invariants;
 mod metrics;
 mod pat;

@@ -376,7 +376,7 @@ impl Simulation {
         let dt = self.config.tick;
         let idx = self.clock.index();
         let now = self.clock.now();
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         let supplied_before = self.utility.energy_supplied() + self.renewable.energy_used();
 
         // Slot boundary: close the previous slot, restore shed servers
@@ -588,7 +588,7 @@ impl Simulation {
             }
         }
         self.supply_fault_prev = supply_fault;
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             let supplied_after = self.utility.energy_supplied() + self.renewable.energy_used();
             crate::invariants::check_feed_balance(supplied_after - supplied_before, raw_limit, dt);
@@ -657,7 +657,7 @@ impl Simulation {
             return 0;
         }
 
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         let supplied_before = self.utility.energy_supplied() + self.renewable.energy_used();
 
         // The steady levels make every per-tick quantity a constant:
@@ -739,7 +739,7 @@ impl Simulation {
         // collapses to one write of the final timestamp.
         self.cluster
             .mark_all_active(self.clock.time_at(self.clock.index() - 1));
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             let supplied_after = self.utility.energy_supplied() + self.renewable.energy_used();
             crate::invariants::check_feed_balance(
@@ -1099,7 +1099,7 @@ impl Simulation {
     /// Slot bookkeeping: close the finished slot, reconfigure relays,
     /// open the next one.
     fn slot_boundary(&mut self, now: Seconds) {
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         crate::invariants::check_energy_conservation(&self.report);
         if self.trace {
             self.emit_pool_state(now);

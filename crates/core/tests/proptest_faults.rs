@@ -108,10 +108,10 @@ fn assert_chaos_invariants(report: &SimReport, schedule_len: usize) {
     prop_assert!(report.faults.events_recovered <= report.faults.events_applied);
     prop_assert!(report.faults.events_applied <= schedule_len as u64);
     prop_assert!(report.faults.strings_restored <= report.faults.strings_quarantined);
-    // Under strict-invariants, rerun the full conservation audit on the
+    // In debug builds, rerun the full conservation audit on the
     // final report (the per-tick/per-slot hooks already ran inside the
     // simulation itself).
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     heb_core::invariants::check_report(report);
 }
 

@@ -45,7 +45,7 @@ use heb_fleet::{
     replicate, FleetEngine, FsyncPolicy, HardenPolicy, MetricSummary, ResultCache, RunJournal,
     RunPolicy, StateCounts,
 };
-use heb_telemetry::{JsonlRecorder, Metrics};
+use heb_telemetry::JsonlRecorder;
 use heb_units::Watts;
 
 /// One registered experiment: a name and its batch builder.
@@ -431,10 +431,6 @@ fn fleet_main() -> i32 {
     if args.cache {
         engine = engine.with_cache(ResultCache::new(&args.cache_dir));
     }
-    let metrics = args.metrics.then(|| Arc::new(Metrics::new()));
-    if let Some(m) = &metrics {
-        engine = engine.with_metrics(Arc::clone(m));
-    }
     if let Some(path) = &args.events {
         match JsonlRecorder::create(path) {
             Ok(recorder) => engine = engine.with_recorder(Arc::new(recorder)),
@@ -585,17 +581,9 @@ fn fleet_main() -> i32 {
         }
     }
     if args.metrics {
-        println!(
-            "cache: mode={}, tmp_reclaimed={}, retries={}, quarantined={}",
-            stats.cache_mode.name(),
-            stats.tmp_reclaimed,
-            stats.retries,
-            stats.quarantined
-        );
-        if let Some(metrics) = &metrics {
-            println!("--- engine metrics ---");
-            print!("{}", metrics.snapshot());
-        }
+        println!("cache: mode={}", stats.cache_mode.name());
+        println!("--- engine metrics ---");
+        print!("{}", engine.metrics().snapshot());
     }
     let all_done = totals.failed == 0
         && totals.quarantined == 0

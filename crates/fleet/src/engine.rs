@@ -17,12 +17,15 @@
 //! quarantined.
 //!
 //! There is one entry point: [`FleetEngine::run`] takes a
-//! [`RunPolicy`] (per-run overrides of the engine's robustness knobs
-//! plus the optional crash-safe [`RunJournal`]) and returns a
-//! [`RunOutcome`] accounting for every scenario. The historical
+//! [`RunPolicy`] (the optional crash-safe [`RunJournal`]) and returns a
+//! [`RunOutcome`] accounting for every scenario; the robustness knobs
+//! are set once, by [`FleetEngine::with_policy`]. The historical
 //! reports-or-panic contract is an explicit opt-in via
 //! [`RunOutcome::expect_reports`]. The attached cache degrades
 //! (read-write → read-only → disabled) instead of erroring.
+//!
+//! Every count the engine keeps lives in its metrics registry, counted
+//! once where the event happens; [`EngineStats`] is a view over it.
 
 // heb-analyze: allow(HEB003, imports the unwind-isolation primitives; the import itself panics nothing)
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,7 +51,10 @@ use crate::journal::RunJournal;
 /// above the watchdog limits the chaos suite configures.
 const STALL_MS: u64 = 50;
 
-/// Counters describing what the engine has done so far.
+/// Counters describing what the engine has done so far: a read-only
+/// view over the engine's metrics registry (each count is the
+/// `fleet.<field>` counter of the same name), plus the attached cache's
+/// state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Scenarios simulated (cache misses plus uncached runs).
@@ -74,17 +80,14 @@ pub struct EngineStats {
     pub cache_mode: CacheMode,
 }
 
-/// Cumulative counters, updated atomically so workers need no lock.
-#[derive(Debug, Default)]
-struct AtomicStats {
-    simulated: AtomicUsize,
-    servers_simulated: AtomicUsize,
-    cache_hits: AtomicUsize,
-    cache_writes: AtomicUsize,
-    retries: AtomicUsize,
-    quarantined: AtomicUsize,
-    resumed: AtomicUsize,
-}
+// The registry counters behind `EngineStats`, one per count.
+const SIMULATED: &str = "fleet.simulated";
+const SERVERS_SIMULATED: &str = "fleet.servers_simulated";
+const CACHE_HITS: &str = "fleet.cache_hits";
+const CACHE_WRITES: &str = "fleet.cache_writes";
+const RETRIES: &str = "fleet.retries";
+const QUARANTINED: &str = "fleet.quarantined";
+const RESUMED: &str = "fleet.resumed";
 
 /// What one worker recorded for one claimed scenario.
 #[derive(Debug)]
@@ -99,35 +102,33 @@ struct SlotOutcome {
 pub struct FleetEngine {
     jobs: usize,
     cache: Option<DegradableCache>,
-    stats: AtomicStats,
-    /// Optional metrics registry: when attached, every `run` records
+    /// The metrics registry holding every count (`fleet.*` counters),
     /// per-phase wall-clock timings (`fleet.phase.*`) and per-scenario
-    /// simulation latency (`fleet.scenario_seconds`).
-    metrics: Option<Arc<Metrics>>,
+    /// simulation latency (`fleet.scenario_seconds`). Instruments are
+    /// created on their first event, so a fresh engine answering one
+    /// cache hit registers only what that run touches.
+    metrics: Arc<Metrics>,
     /// Panic-isolation / retry / watchdog knobs (default: all off).
     policy: HardenPolicy,
     /// Optional recorder for typed robustness events (`fleet.*`).
     recorder: Option<RecorderHandle>,
     /// Failpoint set; only attachable under the `failpoints` feature.
     failpoints: Option<Arc<crate::failpoint::Failpoints>>,
-    /// Guards the one-shot `fleet.cache.tmp_reclaimed` counter add.
-    tmp_counted: AtomicBool,
 }
 
 impl FleetEngine {
     /// Creates an engine running at most `jobs` scenarios concurrently
-    /// (clamped to at least one), with no cache.
+    /// (clamped to at least one), with no cache and a fresh metrics
+    /// registry.
     #[must_use]
     pub fn new(jobs: usize) -> Self {
         Self {
             jobs: jobs.max(1),
             cache: None,
-            stats: AtomicStats::default(),
-            metrics: None,
+            metrics: Arc::new(Metrics::new()),
             policy: HardenPolicy::default(),
             recorder: None,
             failpoints: None,
-            tmp_counted: AtomicBool::new(false),
         }
     }
 
@@ -143,19 +144,22 @@ impl FleetEngine {
             wrapped = wrapped.with_failpoints(Arc::clone(fp));
         }
         self.cache = Some(wrapped);
+        self.publish_tmp_reclaimed();
         self
     }
 
-    /// Attaches a metrics registry recording phase timings (probe /
-    /// simulate / merge) and per-scenario simulation latency.
+    /// Replaces the engine's metrics registry with `metrics` (shared
+    /// with the caller, who can snapshot it): every count, the phase
+    /// timings and the per-scenario latency are recorded there.
     #[must_use]
     pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
+        self.publish_tmp_reclaimed();
         self
     }
 
-    /// Attaches the execution-robustness policy (retries, backoff,
-    /// watchdog, fail-fast).
+    /// Sets the execution-robustness policy (retries, backoff,
+    /// watchdog, fail-fast) every `run` follows.
     #[must_use]
     pub fn with_policy(mut self, policy: HardenPolicy) -> Self {
         self.policy = policy;
@@ -183,10 +187,10 @@ impl FleetEngine {
         self
     }
 
-    /// The attached metrics registry, if any.
+    /// The engine's metrics registry.
     #[must_use]
-    pub fn metrics(&self) -> Option<&Arc<Metrics>> {
-        self.metrics.as_ref()
+    pub fn metrics(&self) -> &Arc<Metrics> {
+        &self.metrics
     }
 
     /// The configured worker count.
@@ -207,17 +211,20 @@ impl FleetEngine {
         &self.policy
     }
 
-    /// Cumulative counters across every `run` call so far.
+    /// Cumulative counters across every `run` call so far, read from
+    /// the registry (which lists each of them from then on, zero or
+    /// not).
     #[must_use]
     pub fn stats(&self) -> EngineStats {
+        let count = |name: &str| self.metrics.counter(name).get() as usize;
         EngineStats {
-            simulated: self.stats.simulated.load(Ordering::Relaxed),
-            servers_simulated: self.stats.servers_simulated.load(Ordering::Relaxed),
-            cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
-            cache_writes: self.stats.cache_writes.load(Ordering::Relaxed),
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            quarantined: self.stats.quarantined.load(Ordering::Relaxed),
-            resumed: self.stats.resumed.load(Ordering::Relaxed),
+            simulated: count(SIMULATED),
+            servers_simulated: count(SERVERS_SIMULATED),
+            cache_hits: count(CACHE_HITS),
+            cache_writes: count(CACHE_WRITES),
+            retries: count(RETRIES),
+            quarantined: count(QUARANTINED),
+            resumed: count(RESUMED),
             tmp_reclaimed: self
                 .cache
                 .as_ref()
@@ -229,51 +236,45 @@ impl FleetEngine {
         }
     }
 
-    /// Executes `batch` under `policy` — the engine's single entry
-    /// point.
+    /// Executes `batch` under the engine's [`HardenPolicy`] — the
+    /// engine's single entry point.
     ///
     /// Cached scenarios are replayed without simulating; the rest are
     /// spread across the worker pool in submission order, bit-identical
     /// to serial execution at any worker count. Panics are isolated per
-    /// attempt, failures retried then quarantined, and — when the
-    /// policy attaches a journal — progress is persisted so an
-    /// interrupted run resumes bit-identically. Knobs the policy leaves
-    /// unset inherit [`FleetEngine::with_policy`].
+    /// attempt, failures retried then quarantined, and — when `run`
+    /// attaches a journal — progress is persisted so an interrupted run
+    /// resumes bit-identically.
     ///
     /// The returned [`RunOutcome`] accounts for every scenario; call
     /// [`RunOutcome::expect_reports`] for the historical
     /// reports-or-panic contract.
     #[must_use]
-    pub fn run(&self, batch: &[Scenario], policy: &RunPolicy) -> RunOutcome {
-        self.execute(batch, policy.resolve(self.policy), policy.journal_ref())
-    }
-
-    /// The probe / simulate / merge pipeline behind [`FleetEngine::run`],
-    /// with the per-run effective policy already resolved.
-    fn execute(
-        &self,
-        batch: &[Scenario],
-        policy: HardenPolicy,
-        journal: Option<&RunJournal>,
-    ) -> RunOutcome {
-        self.count_tmp_once();
+    pub fn run(&self, batch: &[Scenario], run: &RunPolicy) -> RunOutcome {
+        let journal = run.journal_ref();
+        self.metrics
+            .counter("fleet.scenarios")
+            .add(batch.len() as u64);
         if let Some(journal) = journal {
             journal.record_batch_open(batch);
         }
 
         // Probe pass: settle resumed and cached scenarios up front,
         // queue the rest.
-        let probe_timer = self.metrics.as_ref().map(|m| m.timer("fleet.phase.probe"));
+        let probe_timer = self.metrics.timer("fleet.phase.probe");
+        let cache_hits = self.metrics.counter(CACHE_HITS);
         let mut settled: Vec<Option<(SimReport, ReportSource)>> = Vec::with_capacity(batch.len());
         let mut pending: Vec<usize> = Vec::new();
+        let mut resumed = 0usize;
         for (index, scenario) in batch.iter().enumerate() {
             if let Some(report) = journal.and_then(|j| j.completed_report(scenario)) {
-                self.stats.resumed.fetch_add(1, Ordering::Relaxed);
+                self.metrics.counter(RESUMED).increment();
+                resumed += 1;
                 settled.push(Some((report, ReportSource::Resumed)));
                 continue;
             }
             if let Some(report) = self.cache.as_ref().and_then(|c| c.load(scenario)) {
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                cache_hits.increment();
                 // Mirror the hit into the run store so a later resume
                 // does not depend on the shared cache staying healthy.
                 if let Some(journal) = journal {
@@ -286,11 +287,6 @@ impl FleetEngine {
             settled.push(None);
         }
         drop(probe_timer);
-        let resumed = settled
-            .iter()
-            .filter(|s| matches!(s, Some((_, ReportSource::Resumed))))
-            .count();
-        let cache_hits = batch.len() - pending.len() - resumed;
         if resumed > 0 {
             if let Some(journal) = journal {
                 self.emit(|| FleetEvent::RunResumed {
@@ -304,10 +300,7 @@ impl FleetEngine {
         // Simulation pass: workers pull pending scenarios off a shared
         // cursor; each result lands in the slot of its batch index, so
         // scheduling order cannot leak into the output.
-        let simulate_timer = self
-            .metrics
-            .as_ref()
-            .map(|m| m.timer("fleet.phase.simulate"));
+        let simulate_timer = self.metrics.timer("fleet.phase.simulate");
         let slots: Vec<Mutex<Option<SlotOutcome>>> =
             pending.iter().map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
@@ -328,8 +321,8 @@ impl FleetEngine {
             let Some(&index) = pending.get(next) else {
                 break;
             };
-            let outcome = self.run_scenario(&batch[index], policy, journal);
-            if outcome.result.is_err() && policy.fail_fast {
+            let outcome = self.run_scenario(&batch[index], journal);
+            if outcome.result.is_err() && self.policy.fail_fast {
                 abort.store(true, Ordering::Relaxed);
             }
             // A poisoned slot means another worker panicked through the
@@ -351,12 +344,11 @@ impl FleetEngine {
 
         // Merge pass: persist fresh results, account for every
         // scenario, and drain cache-degradation transitions.
-        let merge_timer = self.metrics.as_ref().map(|m| m.timer("fleet.phase.merge"));
+        let merge_timer = self.metrics.timer("fleet.phase.merge");
         let aborted = abort.load(Ordering::Relaxed);
         let mut slot_results = slots
             .into_iter()
             .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner));
-        let mut simulated = 0usize;
         let mut outcomes = Vec::with_capacity(batch.len());
         for (index, scenario) in batch.iter().enumerate() {
             let mut outcome = ScenarioOutcome {
@@ -381,10 +373,9 @@ impl FleetEngine {
                     attempts,
                     result: Ok(report),
                 }) => {
-                    simulated += 1;
                     if let Some(cache) = &self.cache {
                         if cache.store(scenario, &report) {
-                            self.stats.cache_writes.fetch_add(1, Ordering::Relaxed);
+                            self.metrics.counter(CACHE_WRITES).increment();
                         }
                     }
                     outcome.state = ScenarioState::Done;
@@ -396,7 +387,6 @@ impl FleetEngine {
                     attempts,
                     result: Err(failure),
                 }) => {
-                    simulated += 1;
                     outcome.state = ScenarioState::Quarantined;
                     outcome.attempts = attempts;
                     outcome.failure = Some(failure);
@@ -429,41 +419,20 @@ impl FleetEngine {
                 aborted,
             );
         }
-        if let Some(metrics) = &self.metrics {
-            metrics.counter("fleet.scenarios").add(batch.len() as u64);
-            metrics.counter("fleet.simulated").add(simulated as u64);
-            metrics.counter("fleet.cache_hits").add(cache_hits as u64);
-            if resumed > 0 {
-                metrics.counter("fleet.resumed").add(resumed as u64);
-            }
-            if counts.quarantined > 0 {
-                metrics
-                    .counter("fleet.quarantined")
-                    .add(counts.quarantined as u64);
-            }
-        }
         run
     }
 
     /// Runs one scenario to a terminal per-scenario result: attempts
     /// under `catch_unwind`, deterministic backoff between retries,
     /// quarantine when the budget is exhausted.
-    fn run_scenario(
-        &self,
-        scenario: &Scenario,
-        policy: HardenPolicy,
-        journal: Option<&RunJournal>,
-    ) -> SlotOutcome {
-        self.stats.simulated.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .servers_simulated
-            .fetch_add(scenario.servers(), Ordering::Relaxed);
+    fn run_scenario(&self, scenario: &Scenario, journal: Option<&RunJournal>) -> SlotOutcome {
+        let policy = &self.policy;
+        self.metrics.counter(SIMULATED).increment();
+        self.metrics
+            .counter(SERVERS_SIMULATED)
+            .add(scenario.servers() as u64);
         let hash = scenario.hash_hex();
         let hash128 = scenario.content_hash();
-        let hist = self
-            .metrics
-            .as_ref()
-            .map(|m| m.histogram("fleet.scenario_seconds"));
         let mut attempt = 1u32;
         loop {
             if let Some(journal) = journal {
@@ -478,11 +447,9 @@ impl FleetEngine {
                 ),
                 None => (false, false),
             };
-            let start = hist.as_ref().map(|_| std::time::Instant::now());
+            let attempt_timer = self.metrics.timer("fleet.scenario_seconds");
             let result = run_attempt(scenario, inject_panic, stall, policy.timeout_ms);
-            if let (Some(hist), Some(start)) = (&hist, start) {
-                hist.observe(start.elapsed().as_secs_f64());
-            }
+            drop(attempt_timer);
             match result {
                 Ok(report) => {
                     if let Some(journal) = journal {
@@ -500,7 +467,7 @@ impl FleetEngine {
                     }
                     if attempt < policy.max_attempts() {
                         let backoff = policy.backoff_ms(hash128, attempt);
-                        self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                        self.metrics.counter(RETRIES).increment();
                         self.emit(|| FleetEvent::RetryScheduled {
                             scenario: scenario.label().to_string(),
                             attempt: attempt + 1,
@@ -521,7 +488,7 @@ impl FleetEngine {
                             Some(&reason),
                         );
                     }
-                    self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.counter(QUARANTINED).increment();
                     self.emit(|| FleetEvent::ScenarioQuarantined {
                         scenario: scenario.label().to_string(),
                         attempts: attempt,
@@ -545,15 +512,14 @@ impl FleetEngine {
         }
     }
 
-    /// Adds the cache's tmp-sweep count to the metrics registry once
-    /// per engine (the sweep happens at attach time, not per run).
-    fn count_tmp_once(&self) {
-        if let (Some(metrics), Some(cache)) = (&self.metrics, &self.cache) {
-            if !self.tmp_counted.swap(true, Ordering::Relaxed) {
-                metrics
-                    .counter("fleet.cache.tmp_reclaimed")
-                    .add(cache.tmp_reclaimed() as u64);
-            }
+    /// Sets the `fleet.cache.tmp_reclaimed` gauge from the attached
+    /// cache's attach-time sweep. Idempotent, so it reads the same
+    /// whichever of `with_cache` and `with_metrics` came last.
+    fn publish_tmp_reclaimed(&self) {
+        if let Some(cache) = &self.cache {
+            self.metrics
+                .gauge("fleet.cache.tmp_reclaimed")
+                .set(cache.tmp_reclaimed() as f64);
         }
     }
 }
@@ -754,13 +720,11 @@ mod tests {
 
     #[test]
     fn retries_are_counted_and_bounded() {
-        // The per-run policy supplies the retry budget; the engine
-        // default (zero retries) is overridden for this call only.
-        let engine = FleetEngine::new(1);
-        let outcome = engine.run(
-            &[failing_scenario("engine-test/retry")],
-            &RunPolicy::new().retries(2),
-        );
+        let engine = FleetEngine::new(1).with_policy(HardenPolicy {
+            max_retries: 2,
+            ..HardenPolicy::default()
+        });
+        let outcome = engine.run(&[failing_scenario("engine-test/retry")], &RunPolicy::new());
         assert_eq!(outcome.outcomes[0].attempts, 3, "1 attempt + 2 retries");
         assert_eq!(outcome.outcomes[0].state, ScenarioState::Quarantined);
         assert_eq!(engine.stats().retries, 2);
@@ -811,8 +775,11 @@ mod tests {
             20.0,
             11,
         );
-        let engine = FleetEngine::new(1);
-        let outcome = engine.run(std::slice::from_ref(&slow), &RunPolicy::new().timeout_ms(1));
+        let engine = FleetEngine::new(1).with_policy(HardenPolicy {
+            timeout_ms: Some(1),
+            ..HardenPolicy::default()
+        });
+        let outcome = engine.run(std::slice::from_ref(&slow), &RunPolicy::new());
         assert_eq!(
             outcome.outcomes[0].failure,
             Some(ScenarioFailure::Timeout { limit_ms: 1 })
@@ -833,20 +800,95 @@ mod tests {
             .all(|o| o.source == ReportSource::Simulated && o.attempts == 1));
     }
 
+    fn temp_root(tag: &str) -> std::path::PathBuf {
+        let root =
+            std::env::temp_dir().join(format!("heb-fleet-engine-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
+    }
+
     #[test]
-    fn run_policy_inherits_then_overrides_the_engine_policy() {
-        let engine = FleetEngine::new(1).with_policy(HardenPolicy {
-            max_retries: 2,
-            ..HardenPolicy::default()
-        });
-        let batch = [failing_scenario("engine-test/inherit")];
-        // Unset knobs inherit the engine policy: 1 attempt + 2 retries.
-        let inherited = engine.run(&batch, &RunPolicy::new());
-        assert_eq!(inherited.outcomes[0].attempts, 3);
-        // A per-run override wins over the engine policy for that call.
-        let overridden = engine.run(&batch, &RunPolicy::new().retries(0));
-        assert_eq!(overridden.outcomes[0].attempts, 1);
-        // The engine policy itself is untouched.
-        assert_eq!(engine.policy().max_retries, 2);
+    fn stats_are_a_view_over_the_registry() {
+        use crate::journal::{FsyncPolicy, RunJournal};
+        let root = temp_root("stats-view");
+        let runs = root.join("runs");
+        let engine = FleetEngine::new(1)
+            .with_policy(HardenPolicy {
+                max_retries: 1,
+                ..HardenPolicy::default()
+            })
+            .with_cache(ResultCache::new(root.join("cache")));
+        let batch = batch();
+        // A journaled run simulates and writes the first scenario...
+        {
+            let journal = RunJournal::create(&runs, "view", FsyncPolicy::Never).unwrap();
+            let first = engine.run(&batch[..1], &RunPolicy::new().journal(&journal));
+            assert!(first.all_done());
+        }
+        // ...its resume settles it from the journal, simulates and
+        // writes the second, and retries then quarantines a failure...
+        let journal = RunJournal::resume(&runs, "view", FsyncPolicy::Never).unwrap();
+        let mixed = [
+            batch[0].clone(),
+            batch[1].clone(),
+            failing_scenario("engine-test/view"),
+        ];
+        let resumed = engine.run(&mixed, &RunPolicy::new().journal(&journal));
+        assert_eq!(resumed.counts().quarantined, 1);
+        // ...and a plain run replays the second from the cache.
+        assert!(engine.run(&batch[1..2], &RunPolicy::new()).all_done());
+
+        let stats = engine.stats();
+        let snap = engine.metrics().snapshot();
+        for (name, count) in [
+            ("fleet.simulated", stats.simulated),
+            ("fleet.servers_simulated", stats.servers_simulated),
+            ("fleet.cache_hits", stats.cache_hits),
+            ("fleet.cache_writes", stats.cache_writes),
+            ("fleet.retries", stats.retries),
+            ("fleet.quarantined", stats.quarantined),
+            ("fleet.resumed", stats.resumed),
+        ] {
+            assert!(count > 0, "{name} must have been exercised");
+            assert_eq!(snap.counter(name), Some(count as u64), "{name}");
+        }
+        assert_eq!(
+            (stats.simulated, stats.cache_writes, stats.cache_hits),
+            (3, 2, 1)
+        );
+        assert_eq!((stats.retries, stats.quarantined, stats.resumed), (1, 1, 1));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn tmp_reclaimed_is_reported_whichever_was_attached_first() {
+        let root = temp_root("tmp-order");
+        for metrics_first in [false, true] {
+            let cache = ResultCache::new(&root);
+            std::fs::create_dir_all(cache.dir()).unwrap();
+            for n in 0..2 {
+                std::fs::write(cache.dir().join(format!("deadbeef.tmp.999999.{n}")), "x").unwrap();
+            }
+            let metrics = Arc::new(Metrics::new());
+            let engine = if metrics_first {
+                FleetEngine::new(1)
+                    .with_metrics(Arc::clone(&metrics))
+                    .with_cache(cache)
+            } else {
+                FleetEngine::new(1)
+                    .with_cache(cache)
+                    .with_metrics(Arc::clone(&metrics))
+            };
+            assert_eq!(engine.stats().tmp_reclaimed, 2, "{metrics_first}");
+            // Set, not added: runs leave the attach-time count alone.
+            let _ = engine.run(&[], &RunPolicy::new());
+            let _ = engine.run(&[], &RunPolicy::new());
+            assert_eq!(
+                metrics.snapshot().gauge("fleet.cache.tmp_reclaimed"),
+                Some(2.0),
+                "metrics first: {metrics_first}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -161,77 +161,23 @@ impl HardenPolicy {
     }
 }
 
-/// Per-run execution policy: the builder consumed by the fleet
-/// engine's single entry point, `FleetEngine::run`.
+/// Per-run options of the fleet engine's single entry point,
+/// `FleetEngine::run`: the optional crash-safe [`RunJournal`].
 ///
-/// A `RunPolicy` absorbs the [`HardenPolicy`] knobs (retries, backoff,
-/// watchdog, fail-fast) plus the optional crash-safe [`RunJournal`].
-/// Every knob is an *override*: a field left unset inherits the
-/// engine's configured [`HardenPolicy`] (see
-/// `FleetEngine::with_policy`), so `RunPolicy::new()` runs exactly the
-/// way the engine was built to run. The historical panicking contract
-/// of the old `run` lives on [`RunOutcome::expect_reports`], not here.
+/// The robustness knobs are not here: they are the engine's
+/// [`HardenPolicy`], set once by `FleetEngine::with_policy`. The
+/// historical panicking contract of the old `run` lives on
+/// [`RunOutcome::expect_reports`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunPolicy<'a> {
-    max_retries: Option<u32>,
-    backoff_base_ms: Option<u64>,
-    timeout_ms: Option<Option<u64>>,
-    fail_fast: Option<bool>,
     journal: Option<&'a RunJournal>,
 }
 
 impl<'a> RunPolicy<'a> {
-    /// A policy that inherits every knob from the engine and attaches
-    /// no journal.
+    /// A run without a journal.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides every robustness knob at once from a [`HardenPolicy`].
-    #[must_use]
-    pub fn harden(mut self, policy: HardenPolicy) -> Self {
-        self.max_retries = Some(policy.max_retries);
-        self.backoff_base_ms = Some(policy.backoff_base_ms);
-        self.timeout_ms = Some(policy.timeout_ms);
-        self.fail_fast = Some(policy.fail_fast);
-        self
-    }
-
-    /// Overrides the retry budget (retries after the first attempt).
-    #[must_use]
-    pub fn retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = Some(max_retries);
-        self
-    }
-
-    /// Overrides the base backoff between retries, in milliseconds.
-    #[must_use]
-    pub fn backoff_base_ms(mut self, ms: u64) -> Self {
-        self.backoff_base_ms = Some(ms);
-        self
-    }
-
-    /// Overrides the per-scenario watchdog limit, in milliseconds.
-    #[must_use]
-    pub fn timeout_ms(mut self, ms: u64) -> Self {
-        self.timeout_ms = Some(Some(ms));
-        self
-    }
-
-    /// Disables the watchdog even if the engine configures one.
-    #[must_use]
-    pub fn no_timeout(mut self) -> Self {
-        self.timeout_ms = Some(None);
-        self
-    }
-
-    /// Overrides fail-fast scheduling (stop after the first
-    /// quarantine).
-    #[must_use]
-    pub fn fail_fast(mut self, fail_fast: bool) -> Self {
-        self.fail_fast = Some(fail_fast);
-        self
     }
 
     /// Attaches a crash-safe run journal: progress is persisted so an
@@ -254,18 +200,6 @@ impl<'a> RunPolicy<'a> {
     #[must_use]
     pub fn journal_ref(&self) -> Option<&'a RunJournal> {
         self.journal
-    }
-
-    /// Folds the overrides onto `base` (the engine's configured
-    /// policy), producing the effective [`HardenPolicy`] for one run.
-    #[must_use]
-    pub fn resolve(&self, base: HardenPolicy) -> HardenPolicy {
-        HardenPolicy {
-            max_retries: self.max_retries.unwrap_or(base.max_retries),
-            backoff_base_ms: self.backoff_base_ms.unwrap_or(base.backoff_base_ms),
-            timeout_ms: self.timeout_ms.unwrap_or(base.timeout_ms),
-            fail_fast: self.fail_fast.unwrap_or(base.fail_fast),
-        }
     }
 }
 
@@ -473,50 +407,6 @@ mod tests {
             assert!(failure.to_string().contains(needle));
             assert!(!failure.kind().is_empty());
         }
-    }
-
-    #[test]
-    fn run_policy_defaults_inherit_the_base_policy() {
-        let base = HardenPolicy {
-            max_retries: 3,
-            backoff_base_ms: 7,
-            timeout_ms: Some(250),
-            fail_fast: true,
-        };
-        assert_eq!(RunPolicy::new().resolve(base), base);
-        assert!(RunPolicy::new().journal_ref().is_none());
-    }
-
-    #[test]
-    fn run_policy_overrides_fold_per_field() {
-        let base = HardenPolicy {
-            max_retries: 3,
-            backoff_base_ms: 7,
-            timeout_ms: Some(250),
-            fail_fast: true,
-        };
-        let resolved = RunPolicy::new().retries(0).no_timeout().resolve(base);
-        assert_eq!(resolved.max_retries, 0, "overridden");
-        assert_eq!(resolved.timeout_ms, None, "watchdog disabled");
-        assert_eq!(resolved.backoff_base_ms, 7, "inherited");
-        assert!(resolved.fail_fast, "inherited");
-        let replaced = HardenPolicy {
-            max_retries: 1,
-            backoff_base_ms: 0,
-            timeout_ms: None,
-            fail_fast: false,
-        };
-        assert_eq!(
-            RunPolicy::new()
-                .harden(replaced)
-                .timeout_ms(9)
-                .resolve(base),
-            HardenPolicy {
-                timeout_ms: Some(9),
-                ..replaced
-            },
-            "harden() replaces every knob, later setters still win"
-        );
     }
 
     #[test]

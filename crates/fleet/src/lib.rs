@@ -8,7 +8,7 @@
 //! * [`FleetEngine`] — a fixed worker pool executing a batch with
 //!   results in submission order, bit-identical to serial execution at
 //!   any `--jobs` level; its single entry point [`FleetEngine::run`]
-//!   takes a per-run [`RunPolicy`] and returns a [`RunOutcome`];
+//!   takes a [`RunPolicy`] (the journal) and returns a [`RunOutcome`];
 //! * [`ResultCache`] — an on-disk store keyed by scenario content hash
 //!   and engine version, so re-running an experiment whose inputs are
 //!   unchanged performs zero simulations;

@@ -153,7 +153,6 @@ type FlightOutcome = Result<(SimReport, f64, bool), String>;
 /// The long-lived service state shared by every connection.
 pub struct Advisor {
     engine: FleetEngine,
-    metrics: Arc<Metrics>,
     recorder: RecorderHandle,
     flights: Singleflight<FlightOutcome>,
     pool: WorkerPool,
@@ -164,19 +163,19 @@ pub struct Advisor {
 impl Advisor {
     /// Builds the advisor: one [`FleetEngine`] (single-scenario batches,
     /// so the worker pool — not the engine — governs parallelism) with
-    /// the configured cache and robustness policy.
+    /// the configured cache and robustness policy. The engine's metrics
+    /// registry is the advisor's: `serve.*` and `fleet.*` share it.
     #[must_use]
     pub fn new(config: &AdvisorConfig) -> Self {
-        let metrics = Arc::new(Metrics::new());
-        let mut engine = FleetEngine::new(1)
-            .with_policy(config.policy)
-            .with_metrics(Arc::clone(&metrics));
+        let mut engine = FleetEngine::new(1).with_policy(config.policy);
         if let Some(dir) = &config.cache_dir {
             engine = engine.with_cache(ResultCache::new(dir.clone()));
         }
+        // Reading the stats registers every `fleet.*` count, so the
+        // first `/metrics` scrape already lists them, zero or not.
+        let _ = engine.stats();
         Self {
             engine,
-            metrics,
             recorder: null_recorder(),
             flights: Singleflight::new(),
             pool: WorkerPool::new(config.workers),
@@ -192,10 +191,11 @@ impl Advisor {
         self
     }
 
-    /// The shared metrics registry (`/metrics` renders its snapshot).
+    /// The engine's metrics registry, shared by the advisor's own
+    /// `serve.*` instruments (`/metrics` renders its snapshot).
     #[must_use]
     pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
+        self.engine.metrics()
     }
 
     /// The underlying engine (tests read its [`EngineStats`]).
@@ -245,10 +245,10 @@ impl Advisor {
     /// singleflight count folded in as a gauge first.
     #[must_use]
     pub fn metrics_snapshot(&self) -> Answer {
-        self.metrics
+        self.metrics()
             .gauge("serve.flights.open")
             .set(self.flights.in_flight() as f64);
-        Answer::ok(self.metrics.snapshot().to_json())
+        Answer::ok(self.metrics().snapshot().to_json())
     }
 
     /// Answers a `/query` body end to end. Never panics: parse and
@@ -257,7 +257,7 @@ impl Advisor {
     #[must_use]
     pub fn query(&self, body: &str) -> Answer {
         let started = Instant::now();
-        self.metrics.counter("serve.query.requests").increment();
+        self.metrics().counter("serve.query.requests").increment();
         let request = match parse_request(body) {
             Ok(request) => request,
             Err(message) => return self.reject(&message),
@@ -272,7 +272,7 @@ impl Advisor {
             scenario: hash.clone(),
         });
 
-        let queue_gauge = self.metrics.gauge("serve.queue.depth");
+        let queue_gauge = self.metrics().gauge("serve.queue.depth");
         let (outcome, role) = self.flights.run(&hash, || {
             self.pool.run(&queue_gauge, || {
                 let mut run = self
@@ -303,7 +303,7 @@ impl Advisor {
         let (report, mppu, _) = match outcome {
             Ok(result) => result,
             Err(message) => {
-                self.metrics.counter("serve.query.failed").increment();
+                self.metrics().counter("serve.query.failed").increment();
                 self.emit(|| ServeEvent::QueryServed {
                     scenario: hash.clone(),
                     source,
@@ -312,21 +312,21 @@ impl Advisor {
             }
         };
 
-        self.metrics.counter("serve.query.answered").increment();
+        self.metrics().counter("serve.query.answered").increment();
         match source {
-            "cache" => self.metrics.counter("serve.query.cache_hits").increment(),
-            "coalesced" => self.metrics.counter("serve.query.coalesced").increment(),
-            _ => self.metrics.counter("serve.query.simulated").increment(),
+            "cache" => self.metrics().counter("serve.query.cache_hits").increment(),
+            "coalesced" => self.metrics().counter("serve.query.coalesced").increment(),
+            _ => self.metrics().counter("serve.query.simulated").increment(),
         }
-        let answered = self.metrics.counter("serve.query.answered").get();
-        let hits = self.metrics.counter("serve.query.cache_hits").get();
+        let answered = self.metrics().counter("serve.query.answered").get();
+        let hits = self.metrics().counter("serve.query.cache_hits").get();
         if answered > 0 {
-            self.metrics
+            self.metrics()
                 .gauge("serve.query.hit_ratio")
                 .set(hits as f64 / answered as f64);
         }
         let elapsed = started.elapsed().as_secs_f64();
-        self.metrics
+        self.metrics()
             .histogram("serve.latency.query_seconds")
             .observe(elapsed);
         let bucket = if source == "simulated" {
@@ -334,7 +334,7 @@ impl Advisor {
         } else {
             "serve.latency.warm_seconds"
         };
-        self.metrics.histogram(bucket).observe(elapsed);
+        self.metrics().histogram(bucket).observe(elapsed);
         self.emit(|| ServeEvent::QueryServed {
             scenario: hash.clone(),
             source,
@@ -349,17 +349,17 @@ impl Advisor {
     /// followers share the leader's value.
     fn memoised_mppu(&self, id: u128, scenario: &Scenario) -> f64 {
         if let Some(mppu) = self.mppu.get(id) {
-            self.metrics.counter("serve.mppu.memo_hits").increment();
+            self.metrics().counter("serve.mppu.memo_hits").increment();
             return mppu;
         }
         let mppu = scenario_mppu(scenario);
-        self.metrics.counter("serve.mppu.synthesized").increment();
+        self.metrics().counter("serve.mppu.synthesized").increment();
         self.mppu.insert(id, mppu);
         mppu
     }
 
     fn reject(&self, message: &str) -> Answer {
-        self.metrics.counter("serve.query.rejected").increment();
+        self.metrics().counter("serve.query.rejected").increment();
         self.emit(|| ServeEvent::QueryRejected {
             reason: message.to_string(),
         });

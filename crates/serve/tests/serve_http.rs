@@ -86,6 +86,22 @@ fn concurrent_identical_requests_simulate_once_and_metrics_show_it() {
         .and_then(heb_serve::Json::as_u64)
         .expect("answered counter");
     assert_eq!(answered, 6);
+    // The advisor renders its engine's registry: the fleet counts sit
+    // beside the serve ones, and agree with the engine's stats.
+    let fleet = |name: &str| {
+        snapshot
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(heb_serve::Json::as_u64)
+            .unwrap_or_else(|| panic!("/metrics must list {name}"))
+    };
+    assert_eq!(fleet("fleet.simulated"), 1);
+    assert_eq!(fleet("fleet.retries"), 0);
+    assert_eq!(
+        fleet("fleet.cache_writes"),
+        advisor.engine().stats().cache_writes as u64
+    );
+    assert!(fleet("fleet.servers_simulated") > 0);
     shutdown(&addr, handle);
 }
 

@@ -144,40 +144,19 @@ impl Metrics {
     /// The counter named `name`, created on first use.
     #[must_use]
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let Ok(mut counters) = self.counters.lock() else {
-            return Arc::new(Counter::default());
-        };
-        Arc::clone(
-            counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::default())),
-        )
+        instrument(&self.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let Ok(mut gauges) = self.gauges.lock() else {
-            return Arc::new(Gauge::default());
-        };
-        Arc::clone(
-            gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::default())),
-        )
+        instrument(&self.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let Ok(mut histograms) = self.histograms.lock() else {
-            return Arc::new(Histogram::default());
-        };
-        Arc::clone(
-            histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::default())),
-        )
+        instrument(&self.histograms, name)
     }
 
     /// Starts a wall-clock timer that records elapsed seconds into
@@ -235,6 +214,22 @@ impl Metrics {
             histograms,
         }
     }
+}
+
+/// The instrument named `name` in `registry`, created on first use.
+/// The name is copied only when the instrument is new, so a repeated
+/// lookup allocates nothing. A poisoned registry hands out a detached
+/// instrument rather than panicking.
+fn instrument<T: Default>(registry: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let Ok(mut instruments) = registry.lock() else {
+        return Arc::default();
+    };
+    if let Some(existing) = instruments.get(name) {
+        return Arc::clone(existing);
+    }
+    let created = Arc::<T>::default();
+    instruments.insert(name.to_string(), Arc::clone(&created));
+    created
 }
 
 /// Records elapsed wall-clock seconds into a histogram on drop.

@@ -13,7 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test"
+# A debug build: the heb_core::invariants conservation checks run
+# inside every simulation of every test.
+echo "== cargo test (debug: runtime invariant checks on)"
 cargo test --workspace -q
 
 # perfbench is its own Cargo workspace over the layer crates: building
@@ -52,10 +54,6 @@ print(f"heb-analyze: cold {cold['wall_ms']} ms ({cold['analyzed']} analyzed), "
 EOF
 rm -rf "$BENCH_ANALYZE"
 
-echo "== strict-invariants (runtime conservation checks in the chaos suites)"
-cargo test -p heb-core --features strict-invariants -q
-cargo test -p heb-fleet --features strict-invariants -q
-
 # heb-analyze is lexical (scans every line regardless of cfg), so the
 # single run above already vets the failpoint-gated code paths.
 echo "== failpoints chaos suite (deterministic fault injection)"
@@ -80,6 +78,18 @@ grep ' eff ' "$SMOKE/clean.out" > "$SMOKE/clean.eff"
 diff -u "$SMOKE/clean.eff" "$SMOKE/resumed.eff"
 grep -q 'settled from the prior' "$SMOKE/resumed.out"
 echo "kill-and-resume smoke: resumed run bit-identical to clean run"
+# --metrics renders the engine's registry: its fleet.simulated counter
+# must equal the count on the total: line.
+"$FLEET" --hours 0.05 --filter outage --jobs 2 --no-cache --no-journal --metrics \
+  > "$SMOKE/metrics.out"
+TOTAL_SIMULATED="$(sed -n 's/^total: .*, \([0-9][0-9]*\) simulated .*/\1/p' "$SMOKE/metrics.out")"
+REGISTRY_SIMULATED="$(awk '$1 == "counter" && $2 == "fleet.simulated" {print $3}' "$SMOKE/metrics.out")"
+if [ -z "$TOTAL_SIMULATED" ] || [ "$TOTAL_SIMULATED" != "$REGISTRY_SIMULATED" ]; then
+  echo "heb_fleet --metrics smoke: total: says '$TOTAL_SIMULATED' simulated," \
+    "the registry's fleet.simulated says '$REGISTRY_SIMULATED'" >&2
+  exit 1
+fi
+echo "heb_fleet --metrics smoke: registry fleet.simulated = total: line ($TOTAL_SIMULATED)"
 
 echo "== heb_serve smoke (cold query, warm replay byte-identical, graceful drain, restart on the warm cache)"
 cargo build -q --release -p heb-serve
