@@ -13,6 +13,7 @@ use crate::policy::PolicyKind;
 use crate::scenario::{Scenario, ScenarioRunner};
 use crate::sim::PowerMode;
 use heb_units::{Joules, Ratio};
+use heb_workload::PowerTrace;
 
 /// One configuration's outcome in a capacity sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,12 +47,13 @@ impl CapacityPoint {
 }
 
 /// The two scenarios of one capacity point: the peak-shaving run and
-/// the solar (REU) run.
+/// the solar (REU) run on `solar`, the sweep's shared sunrise day.
 fn point_scenarios(
     label: &str,
     config: SimConfig,
     hours: f64,
     solar_hours: f64,
+    solar: &PowerTrace,
     seed: u64,
 ) -> [Scenario; 2] {
     [
@@ -69,7 +71,7 @@ fn point_scenarios(
             solar_hours,
             seed,
         )
-        .with_mode(PowerMode::Solar(super::sunrise_solar(seed)))
+        .with_mode(PowerMode::Solar(solar.clone()))
         .with_initial_soc(Ratio::new_clamped(0.15)),
     ]
 }
@@ -123,6 +125,9 @@ fn specs_to_scenarios(
     solar_hours: f64,
     seed: u64,
 ) -> Vec<Scenario> {
+    // Every point's solar run sees the same seeded day: synthesise it
+    // once and clone it per point.
+    let solar = super::sunrise_solar(seed);
     specs
         .iter()
         .flat_map(|(label, _, _, config)| {
@@ -131,6 +136,7 @@ fn specs_to_scenarios(
                 config.clone(),
                 hours,
                 solar_hours,
+                &solar,
                 seed,
             )
         })

@@ -134,6 +134,9 @@ pub fn scheme_comparison_scenarios(
     seed: u64,
 ) -> Vec<Scenario> {
     let mut batch = Vec::with_capacity(PolicyKind::ALL.len() * SCENARIOS_PER_SCHEME);
+    // Every scheme's solar run sees the same seeded day: synthesise it
+    // once and clone it per scheme.
+    let solar = super::sunrise_solar(seed);
     for &policy in &PolicyKind::ALL {
         for &workload in &Archetype::ALL {
             batch.push(Scenario::new(
@@ -155,7 +158,7 @@ pub fn scheme_comparison_scenarios(
                 solar_hours,
                 seed,
             )
-            .with_mode(PowerMode::Solar(super::sunrise_solar(seed)))
+            .with_mode(PowerMode::Solar(solar.clone()))
             .with_initial_soc(heb_units::Ratio::new_clamped(0.15)),
         );
     }

@@ -28,6 +28,7 @@ use crate::sim::{PowerMode, Simulation};
 use heb_powersys::DeliveryPath;
 use heb_units::Ratio;
 use heb_workload::Archetype;
+use std::sync::OnceLock;
 
 /// Streaming FNV-1a hasher over 128 bits — stable across runs,
 /// platforms, and Rust versions (unlike `std::hash`, which is seeded
@@ -153,6 +154,12 @@ pub struct Scenario {
     /// marker into the hash so event-mode results get their own cache
     /// entries.
     driver: DriverMode,
+    /// [`Scenario::content_hash`], folded on first use. A solar
+    /// scenario's digest covers every trace sample (a day is 86,400 of
+    /// them), and the engine, cache and journal each ask for it, so it
+    /// is folded once per scenario, not once per asker. Every setter of
+    /// a hashed field clears it; clones carry it.
+    hash: OnceLock<u128>,
 }
 
 impl Scenario {
@@ -194,6 +201,7 @@ impl Scenario {
             seed,
             recorder: None,
             driver: DriverMode::Tick,
+            hash: OnceLock::new(),
         }
     }
 
@@ -201,6 +209,7 @@ impl Scenario {
     #[must_use]
     pub fn with_mode(mut self, mode: PowerMode) -> Self {
         self.mode = mode;
+        self.hash.take();
         self
     }
 
@@ -208,6 +217,7 @@ impl Scenario {
     #[must_use]
     pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = Some(faults);
+        self.hash.take();
         self
     }
 
@@ -215,6 +225,7 @@ impl Scenario {
     #[must_use]
     pub fn with_initial_soc(mut self, soc: Ratio) -> Self {
         self.initial_soc = Some(soc);
+        self.hash.take();
         self
     }
 
@@ -226,6 +237,7 @@ impl Scenario {
     #[must_use]
     pub fn with_steady_workload(mut self, utilization: Ratio) -> Self {
         self.steady = Some(utilization);
+        self.hash.take();
         self
     }
 
@@ -234,6 +246,7 @@ impl Scenario {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.hash.take();
         self
     }
 
@@ -241,6 +254,7 @@ impl Scenario {
     #[must_use]
     pub fn with_ticks(mut self, ticks: u64) -> Self {
         self.ticks = ticks;
+        self.hash.take();
         self
     }
 
@@ -266,6 +280,7 @@ impl Scenario {
     #[must_use]
     pub fn with_driver_mode(mut self, driver: DriverMode) -> Self {
         self.driver = driver;
+        self.hash.take();
         self
     }
 
@@ -353,8 +368,27 @@ impl Scenario {
     /// mode (with every trace sample, bit-exact), the fault schedule,
     /// the initial SoC, the horizon, and the seed. The label is
     /// excluded — it is presentation, not physics.
+    ///
+    /// Folded on the first call and memoised; later calls (and clones)
+    /// return the memo. Debug builds re-fold on every call and assert
+    /// the memo still matches, so a setter that forgets to clear it
+    /// fails every test that reaches it.
     #[must_use]
     pub fn content_hash(&self) -> u128 {
+        let hash = *self.hash.get_or_init(|| self.fold_content_hash());
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            hash,
+            self.fold_content_hash(),
+            "invariant violated: scenario {:?} carries a stale content-hash memo",
+            self.label
+        );
+        hash
+    }
+
+    /// Folds every semantic field into a fresh digest (the memo's
+    /// source of truth).
+    fn fold_content_hash(&self) -> u128 {
         let mut h = ContentHasher::new();
         h.write_str("heb-scenario v1");
         hash_config(&mut h, &self.config);
@@ -603,6 +637,63 @@ mod tests {
         assert_eq!(a.content_hash(), base().content_hash());
         assert_eq!(a.content_hash(), a.clone().relabeled("x").content_hash());
         assert_eq!(a.hash_hex().len(), 32);
+    }
+
+    #[test]
+    fn every_hashed_setter_clears_the_memo_and_rehashes() {
+        type Setter = fn(Scenario) -> Scenario;
+        let setters: [(&str, Setter); 7] = [
+            ("mode", |s| {
+                s.with_mode(PowerMode::Solar(PowerTrace::new(
+                    vec![Watts::new(260.0); 10],
+                    Seconds::new(1.0),
+                )))
+            }),
+            ("faults", |s| {
+                s.with_faults(FaultSchedule::parse("blackout@60~30").unwrap())
+            }),
+            ("initial soc", |s| {
+                s.with_initial_soc(Ratio::new_clamped(0.5))
+            }),
+            ("steady", |s| {
+                s.with_steady_workload(Ratio::new_clamped(0.4))
+            }),
+            ("seed", |s| s.with_seed(12)),
+            ("ticks", |s| s.with_ticks(721)),
+            ("driver", |s| s.with_driver_mode(DriverMode::Event)),
+        ];
+        for (name, set) in setters {
+            let hashed = base();
+            let before = hashed.content_hash();
+            let after = set(hashed);
+            assert!(
+                after.hash.get().is_none(),
+                "{name}: setter must clear the memo"
+            );
+            assert_eq!(
+                after.content_hash(),
+                set(base()).content_hash(),
+                "{name}: hashing first must not change the result"
+            );
+            assert_ne!(
+                after.content_hash(),
+                before,
+                "{name}: setter must move the hash"
+            );
+        }
+    }
+
+    #[test]
+    fn label_recorder_and_clone_keep_the_memo() {
+        let hashed = base();
+        let h = hashed.content_hash();
+        let cloned = hashed.clone();
+        assert_eq!(cloned.hash.get(), Some(&h), "a clone carries the memo");
+        let relabeled = hashed.relabeled("t/other");
+        assert_eq!(relabeled.hash.get(), Some(&h), "relabeling keeps the memo");
+        let traced = relabeled.with_recorder(std::sync::Arc::new(heb_telemetry::NullRecorder));
+        assert_eq!(traced.hash.get(), Some(&h), "a recorder keeps the memo");
+        assert_eq!(traced.content_hash(), h);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! malformed report — degrades to a cache *miss*; the engine then
 //! simulates and rewrites the entry. Writes go through a temp file and
 //! an atomic rename so a crashed run can never leave a half-written
-//! entry behind.
+//! entry behind. Entries are never rewritten in place, which is what
+//! lets [`ResultCache::link_entry`] share one between two caches (a run
+//! journal's store mirrors cache hits that way) by hard link.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -82,7 +84,12 @@ impl ResultCache {
     /// The path a scenario's entry lives at.
     #[must_use]
     pub fn entry_path(&self, scenario: &Scenario) -> PathBuf {
-        self.dir.join(format!("{}.report", scenario.hash_hex()))
+        self.hash_path(&scenario.hash_hex())
+    }
+
+    /// The path the entry keyed by `hash` (32 hex digits) lives at.
+    fn hash_path(&self, hash: &str) -> PathBuf {
+        self.dir.join(format!("{hash}.report"))
     }
 
     /// Loads the cached report for `scenario`, or `None` on any miss
@@ -103,7 +110,8 @@ impl ResultCache {
     /// miss — the caller re-simulates — but let the degradation layer
     /// count genuine failures.
     pub fn try_load(&self, scenario: &Scenario) -> Result<Option<SimReport>, CacheReadError> {
-        let body = match fs::read_to_string(self.entry_path(scenario)) {
+        let hash = scenario.hash_hex();
+        let body = match fs::read_to_string(self.hash_path(&hash)) {
             Ok(body) => body,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(err) => return Err(CacheReadError::Io(err.kind())),
@@ -116,7 +124,7 @@ impl ResultCache {
             .next()
             .and_then(|line| line.strip_prefix("scenario = "))
             .ok_or(CacheReadError::Corrupt)?;
-        if keyed_to != scenario.hash_hex() {
+        if keyed_to != hash {
             return Err(CacheReadError::Corrupt);
         }
         let record = lines.next().ok_or(CacheReadError::Corrupt)?;
@@ -173,22 +181,51 @@ impl ResultCache {
     /// a failed store only costs a future re-simulation.
     pub fn store(&self, scenario: &Scenario, report: &SimReport) -> std::io::Result<()> {
         fs::create_dir_all(&self.dir)?;
-        let body = format!(
-            "{MAGIC}\nscenario = {}\n{}",
-            scenario.hash_hex(),
-            report.to_record()
-        );
-        let tmp = self.dir.join(format!(
-            "{}.tmp.{}.{}",
-            scenario.hash_hex(),
+        let hash = scenario.hash_hex();
+        let body = format!("{MAGIC}\nscenario = {hash}\n{}", report.to_record());
+        let tmp = self.tmp_path(&hash);
+        fs::write(&tmp, body)?;
+        self.commit(&tmp, &hash)
+    }
+
+    /// Makes `source`'s entry for `scenario` this cache's entry too, by
+    /// hard link: no decode, no encode, no data written. The link is
+    /// made under a temp name and renamed into place, so an existing
+    /// entry is replaced atomically, exactly as [`ResultCache::store`]
+    /// replaces it. The new name is its own directory entry: evicting
+    /// or deleting `source` afterwards leaves this cache's entry whole.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the link cannot be made — `source` has no entry (it
+    /// was evicted), the two caches sit on different filesystems, or
+    /// the filesystem has no hard links. Callers fall back to
+    /// [`ResultCache::store`].
+    pub fn link_entry(&self, source: &ResultCache, scenario: &Scenario) -> std::io::Result<()> {
+        fs::create_dir_all(&self.dir)?;
+        let hash = scenario.hash_hex();
+        let tmp = self.tmp_path(&hash);
+        fs::hard_link(source.hash_path(&hash), &tmp)?;
+        self.commit(&tmp, &hash)
+    }
+
+    /// A fresh temp-file name for `hash`'s entry, unique per process
+    /// and per write.
+    fn tmp_path(&self, hash: &str) -> PathBuf {
+        self.dir.join(format!(
+            "{hash}.tmp.{}.{}",
             std::process::id(),
             TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, body)?;
-        let result = fs::rename(&tmp, self.entry_path(scenario));
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
+        ))
+    }
+
+    /// Renames a written or linked temp file into place as `hash`'s
+    /// entry. The temp name is removed afterwards whatever happened:
+    /// a failed rename leaves it behind, and so does a rename onto a
+    /// hard link of the same file, which POSIX defines as a no-op.
+    fn commit(&self, tmp: &Path, hash: &str) -> std::io::Result<()> {
+        let result = fs::rename(tmp, self.hash_path(hash));
+        let _ = fs::remove_file(tmp);
         result
     }
 

@@ -273,15 +273,18 @@ impl FleetEngine {
                 settled.push(Some((report, ReportSource::Resumed)));
                 continue;
             }
-            if let Some(report) = self.cache.as_ref().and_then(|c| c.load(scenario)) {
-                cache_hits.increment();
-                // Mirror the hit into the run store so a later resume
-                // does not depend on the shared cache staying healthy.
-                if let Some(journal) = journal {
-                    journal.record_done(scenario, &report, 0);
+            if let Some(cache) = &self.cache {
+                if let Some(report) = cache.load(scenario) {
+                    cache_hits.increment();
+                    // Mirror the hit into the run store so a later
+                    // resume does not depend on the shared cache
+                    // staying healthy.
+                    if let Some(journal) = journal {
+                        journal.record_cache_hit(scenario, &report, cache.inner());
+                    }
+                    settled.push(Some((report, ReportSource::Cache)));
+                    continue;
                 }
-                settled.push(Some((report, ReportSource::Cache)));
-                continue;
             }
             pending.push(index);
             settled.push(None);

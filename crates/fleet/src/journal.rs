@@ -29,9 +29,11 @@
 //! replays the rest bit-identically from the store.
 //!
 //! Journal I/O itself degrades instead of failing the run: an append
-//! error (disk full, injected failpoint) marks the journal unhealthy,
-//! further appends become no-ops, and the engine surfaces the fact in
-//! its stats; the simulation results are unaffected.
+//! or report-store error (disk full, injected failpoint) marks the
+//! journal unhealthy, further appends become no-ops, and the engine
+//! surfaces the fact in its stats; the simulation results are
+//! unaffected. Cache hits are mirrored into the report store by hard
+//! link ([`RunJournal::record_cache_hit`]), falling back to a write.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -249,8 +251,36 @@ impl RunJournal {
     /// the run store), `done` line after — the ordering resume relies
     /// on.
     pub fn record_done(&self, scenario: &Scenario, report: &SimReport, attempt: u32) {
-        let _ = self.store.store(scenario, report);
-        self.record_state(&scenario.hash_hex(), ScenarioState::Done, attempt, None);
+        let committed = self.store.store(scenario, report);
+        self.commit_done(scenario, attempt, committed);
+    }
+
+    /// Commits a scenario the probe pass settled from `cache`, whose
+    /// entry for it was just loaded and verified: the entry is
+    /// hard-linked into the run store, so the hit is mirrored without
+    /// re-encoding or rewriting the report. When linking fails (the
+    /// entry was evicted since, or the run store sits on another
+    /// filesystem) the report is written as [`RunJournal::record_done`]
+    /// writes it. Either way the store holds the bytes
+    /// [`ResultCache::store`] writes, and resume verifies them as it
+    /// verifies any other entry.
+    pub fn record_cache_hit(&self, scenario: &Scenario, report: &SimReport, cache: &ResultCache) {
+        let committed = self
+            .store
+            .link_entry(cache, scenario)
+            .or_else(|_| self.store.store(scenario, report));
+        self.commit_done(scenario, 0, committed);
+    }
+
+    /// Appends `done` once the report's store commit succeeded. A
+    /// failed commit leaves no `done` line — resume would find no
+    /// report behind it — and marks the journal unhealthy, as a failed
+    /// append does.
+    fn commit_done(&self, scenario: &Scenario, attempt: u32, committed: io::Result<()>) {
+        match committed {
+            Ok(()) => self.record_state(&scenario.hash_hex(), ScenarioState::Done, attempt, None),
+            Err(_) => self.mark_unhealthy(),
+        }
     }
 
     /// Closes a batch with final tallies, honouring the fsync policy.

@@ -60,7 +60,7 @@ echo "== failpoints chaos suite (deterministic fault injection)"
 cargo test -p heb-fleet --features failpoints -q
 cargo clippy -q -p heb-fleet --all-targets --features failpoints -- -D warnings
 
-echo "== kill-and-resume smoke (emulated mid-run kill, resume, diff vs clean)"
+echo "== kill-and-resume smoke (emulated mid-run kill, resume, diff vs clean; warm-cache resume)"
 cargo build -q --release -p heb-fleet --features failpoints
 SMOKE="$(mktemp -d)"
 trap 'rm -rf "$SMOKE"' EXIT
@@ -78,6 +78,24 @@ grep ' eff ' "$SMOKE/clean.out" > "$SMOKE/clean.eff"
 diff -u "$SMOKE/clean.eff" "$SMOKE/resumed.eff"
 grep -q 'settled from the prior' "$SMOKE/resumed.out"
 echo "kill-and-resume smoke: resumed run bit-identical to clean run"
+# Warm-cache resume: a journaled all-hits run mirrors every hit into its
+# run store (by hard link), so deleting the shared cache afterwards
+# must not stop a resume settling every scenario from that store.
+WARM=(--filter schemes --hours 0.05 --jobs 2 --verbose)
+"$FLEET" "${WARM[@]}" --cache-dir "$SMOKE/warm-cache" --no-journal > "$SMOKE/warm-cold.out"
+"$FLEET" "${WARM[@]}" --cache-dir "$SMOKE/warm-cache" --runs-dir "$SMOKE/warm-runs" \
+  --run-id warm > "$SMOKE/warm-hits.out"
+rm -rf "$SMOKE/warm-cache"
+"$FLEET" "${WARM[@]}" --cache-dir "$SMOKE/warm-cache" --runs-dir "$SMOKE/warm-runs" \
+  --resume warm --metrics > "$SMOKE/warm-resumed.out"
+grep -q 'settled from the prior' "$SMOKE/warm-resumed.out"
+diff -u <(grep ' eff ' "$SMOKE/warm-cold.out") <(grep ' eff ' "$SMOKE/warm-resumed.out")
+WARM_SIMULATED="$(awk '$1 == "counter" && $2 == "fleet.simulated" {print $3}' "$SMOKE/warm-resumed.out")"
+if [ "$WARM_SIMULATED" != 0 ]; then
+  echo "warm-cache resume smoke: resume simulated '$WARM_SIMULATED' scenario(s), expected 0" >&2
+  exit 1
+fi
+echo "warm-cache resume smoke: cache deleted, resume settled every hit from the run store"
 # --metrics renders the engine's registry: its fleet.simulated counter
 # must equal the count on the total: line.
 "$FLEET" --hours 0.05 --filter outage --jobs 2 --no-cache --no-journal --metrics \
