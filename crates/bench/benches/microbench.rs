@@ -32,6 +32,16 @@
 //! finishes its day in single-digit seconds — the tentpole product
 //! claim, enforced as a hard cap rather than a relative floor.
 //!
+//! `-- --dense-sweep [PATH]` runs the dense trajectory (1 k / 10 k
+//! servers of bursty Terasort/Hivebench/Dfsioe on a 1 s tick for
+//! 30 simulated minutes, where nothing leaps and every server pays
+//! every tick) and records per-point wall-clock and server-ticks/s
+//! under the baseline's `dense` key, preserving the other fields.
+//! `-- --dense-guard PATH` re-measures every recorded dense point and
+//! fails (exit 1) if its throughput fell below `dense_floor_fraction`
+//! of the recorded one. The scale guard covers only the leaped steady
+//! day; this one covers the per-server-tick kernels.
+//!
 //! `-- --sparse-speedup-guard PATH` runs the sparse-workload
 //! microbench: the same valley-heavy simulation driven dense
 //! (`SimDriver::tick`) and leaping (`SimDriver::event`), asserting the
@@ -42,7 +52,9 @@
 //! (≥ 5×), not a noise allowance.
 
 use heb_core::experiments::{megafleet_scenario, MEGAFLEET_SCALES};
-use heb_core::{PolicyKind, PowerAllocationTable, Scenario, SimConfig, SimDriver, Simulation};
+use heb_core::{
+    DriverMode, PolicyKind, PowerAllocationTable, Scenario, SimConfig, SimDriver, Simulation,
+};
 use heb_esd::{LeadAcidBattery, StorageDevice, SuperCapacitor};
 use heb_fleet::{FleetEngine, RunPolicy};
 use heb_forecast::{HoltWinters, Predictor};
@@ -292,34 +304,174 @@ fn parse_scale(baseline: &heb_serve::Json) -> Vec<ScalePoint> {
         .unwrap_or_default()
 }
 
-/// Serialises the complete baseline file: the engine-throughput
-/// fields plus the (possibly empty) megafleet scale trajectory.
-fn render_baseline(batch: usize, scenarios_per_sec: f64, scale: &[ScalePoint]) -> String {
-    let mut body = format!(
-        "{{\n  \"bench\": \"fleet/engine_throughput\",\n  \"batch_size\": {batch},\n  \
-         \"jobs\": {THROUGHPUT_JOBS},\n  \"best_of\": 3,\n  \
-         \"scenarios_per_sec\": {scenarios_per_sec:.2},\n  \
-         \"floor_fraction\": {THROUGHPUT_FLOOR_FRACTION},\n  \
-         \"sparse_speedup_floor\": {SPARSE_SPEEDUP_FLOOR}"
-    );
-    if scale.is_empty() {
+/// One recorded (or freshly measured) dense-regime point.
+#[derive(Debug, Clone, Copy)]
+struct DensePoint {
+    servers: u64,
+    wall_secs: f64,
+    server_ticks_per_sec: f64,
+}
+
+/// Fleet sizes of the dense trajectory.
+const DENSE_SCALES: [usize; 2] = [1_000, 10_000];
+
+/// Simulated ticks of every dense point: 30 min of 1 s ticks.
+const DENSE_TICKS: u64 = 1_800;
+
+/// Seed pinning the dense trajectory's scenarios.
+const DENSE_SEED: u64 = 2015;
+
+/// Fraction of a recorded dense point the re-measured throughput must
+/// reach — the same machine-variance allowance as the scale guard.
+const DENSE_FLOOR_FRACTION: f64 = 0.25;
+
+/// The bursty large-peak mix: no steady level, so nothing leaps.
+const DENSE_MIX: [Archetype; 3] = [Archetype::Terasort, Archetype::Hivebench, Archetype::Dfsioe];
+
+/// The dense scenario at `servers`: the prototype's per-server budget
+/// (260 W per 6 servers) and buffer (25 Wh per server), 1 s tick,
+/// 10 min slots, one battery string per 1,000 servers, event driver.
+fn dense_scenario(servers: usize) -> Scenario {
+    let n = servers as f64;
+    let prototype = SimConfig::prototype();
+    let config = prototype
+        .to_builder()
+        .servers(servers)
+        .budget(Watts::new(
+            prototype.budget.get() / prototype.servers as f64 * n,
+        ))
+        .total_capacity(Joules::from_watt_hours(25.0 * n))
+        .battery_strings((servers / 1_000).max(1))
+        .tick(Seconds::new(1.0))
+        .slot_length(Seconds::from_minutes(10.0))
+        .build()
+        .expect("the dense configuration satisfies the builder");
+    Scenario::from_ticks(
+        format!("dense/{servers}"),
+        config,
+        &DENSE_MIX,
+        DENSE_TICKS,
+        DENSE_SEED,
+    )
+    .with_driver_mode(DriverMode::Event)
+}
+
+/// Runs the dense scenario at `servers` and returns the best-of-`runs`
+/// wall-clock measurement.
+fn measure_dense_point(servers: u64, runs: usize) -> DensePoint {
+    let scenario = dense_scenario(servers as usize);
+    let mut wall_secs = f64::INFINITY;
+    for _ in 0..runs {
+        let start = Instant::now();
+        black_box(scenario.run_expect());
+        wall_secs = wall_secs.min(start.elapsed().as_secs_f64());
+    }
+    DensePoint {
+        servers,
+        wall_secs,
+        server_ticks_per_sec: servers as f64 * DENSE_TICKS as f64 / wall_secs.max(1e-9),
+    }
+}
+
+/// The dense points recorded in a parsed baseline (none before the
+/// dense gate existed).
+fn parse_dense(baseline: &heb_serve::Json) -> Vec<DensePoint> {
+    baseline
+        .get("dense")
+        .and_then(heb_serve::Json::as_arr)
+        .map(|points| {
+            points
+                .iter()
+                .filter_map(|p| {
+                    Some(DensePoint {
+                        servers: p.get("servers")?.as_u64()?,
+                        wall_secs: p.get("wall_secs")?.as_f64()?,
+                        server_ticks_per_sec: p.get("server_ticks_per_sec")?.as_f64()?,
+                    })
+                })
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// Everything the baseline file records. Each sweep refreshes its own
+/// part and keeps the others as recorded.
+struct Baseline {
+    batch: usize,
+    scenarios_per_sec: f64,
+    scale: Vec<ScalePoint>,
+    dense: Vec<DensePoint>,
+}
+
+impl Baseline {
+    /// The baseline at `path`; the engine-throughput number is
+    /// measured fresh only when the file does not record one.
+    fn load_or_measure(path: &str) -> Self {
+        let parsed = load_baseline(path);
+        let kept = parsed.as_ref().and_then(|b| {
+            Some((
+                b.get("scenarios_per_sec")?.as_f64()?,
+                b.get("batch_size")?.as_u64()? as usize,
+            ))
+        });
+        let (scenarios_per_sec, batch) =
+            kept.unwrap_or_else(|| measure_throughput(THROUGHPUT_JOBS, 3));
+        Self {
+            batch,
+            scenarios_per_sec,
+            scale: parsed.as_ref().map(parse_scale).unwrap_or_default(),
+            dense: parsed.as_ref().map(parse_dense).unwrap_or_default(),
+        }
+    }
+
+    fn write(&self, path: &str) -> std::io::Result<()> {
+        std::fs::write(path, self.render())
+    }
+
+    /// Serialises the complete baseline file: the engine-throughput
+    /// fields plus the (possibly empty) megafleet scale and dense
+    /// trajectories.
+    fn render(&self) -> String {
+        let mut body = format!(
+            "{{\n  \"bench\": \"fleet/engine_throughput\",\n  \"batch_size\": {},\n  \
+             \"jobs\": {THROUGHPUT_JOBS},\n  \"best_of\": 3,\n  \
+             \"scenarios_per_sec\": {:.2},\n  \
+             \"floor_fraction\": {THROUGHPUT_FLOOR_FRACTION},\n  \
+             \"sparse_speedup_floor\": {SPARSE_SPEEDUP_FLOOR}",
+            self.batch, self.scenarios_per_sec
+        );
+        if !self.scale.is_empty() {
+            body.push_str(&format!(
+                ",\n  \"scale_hours\": {SCALE_HOURS},\n  \
+                 \"scale_floor_fraction\": {SCALE_FLOOR_FRACTION},\n  \
+                 \"scale_max_wall_secs\": {SCALE_MAX_WALL_SECS},\n  \"scale\": [\n"
+            ));
+            for (i, p) in self.scale.iter().enumerate() {
+                let comma = if i + 1 < self.scale.len() { "," } else { "" };
+                body.push_str(&format!(
+                    "    {{\"servers\": {}, \"wall_secs\": {:.4}, \"server_hours_per_sec\": {:.1}}}{comma}\n",
+                    p.servers, p.wall_secs, p.server_hours_per_sec
+                ));
+            }
+            body.push_str("  ]");
+        }
+        if !self.dense.is_empty() {
+            body.push_str(&format!(
+                ",\n  \"dense_ticks\": {DENSE_TICKS},\n  \
+                 \"dense_floor_fraction\": {DENSE_FLOOR_FRACTION},\n  \"dense\": [\n"
+            ));
+            for (i, p) in self.dense.iter().enumerate() {
+                let comma = if i + 1 < self.dense.len() { "," } else { "" };
+                body.push_str(&format!(
+                    "    {{\"servers\": {}, \"wall_secs\": {:.4}, \"server_ticks_per_sec\": {:.1}}}{comma}\n",
+                    p.servers, p.wall_secs, p.server_ticks_per_sec
+                ));
+            }
+            body.push_str("  ]");
+        }
         body.push_str("\n}\n");
-        return body;
+        body
     }
-    body.push_str(&format!(
-        ",\n  \"scale_hours\": {SCALE_HOURS},\n  \
-         \"scale_floor_fraction\": {SCALE_FLOOR_FRACTION},\n  \
-         \"scale_max_wall_secs\": {SCALE_MAX_WALL_SECS},\n  \"scale\": [\n"
-    ));
-    for (i, p) in scale.iter().enumerate() {
-        let comma = if i + 1 < scale.len() { "," } else { "" };
-        body.push_str(&format!(
-            "    {{\"servers\": {}, \"wall_secs\": {:.4}, \"server_hours_per_sec\": {:.1}}}{comma}\n",
-            p.servers, p.wall_secs, p.server_hours_per_sec
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    body
 }
 
 /// The baseline currently at `path`, if readable and valid.
@@ -331,11 +483,15 @@ fn load_baseline(path: &str) -> Option<heb_serve::Json> {
 fn throughput_baseline(path: &str) -> i32 {
     let (scenarios_per_sec, batch) = measure_throughput(THROUGHPUT_JOBS, 3);
     // Refreshing the throughput number must not drop a recorded scale
-    // trajectory — the two sweeps are updated independently.
-    let scale = load_baseline(path)
-        .map(|b| parse_scale(&b))
-        .unwrap_or_default();
-    match std::fs::write(path, render_baseline(batch, scenarios_per_sec, &scale)) {
+    // or dense trajectory — the sweeps are updated independently.
+    let recorded = load_baseline(path);
+    let baseline = Baseline {
+        batch,
+        scenarios_per_sec,
+        scale: recorded.as_ref().map(parse_scale).unwrap_or_default(),
+        dense: recorded.as_ref().map(parse_dense).unwrap_or_default(),
+    };
+    match baseline.write(path) {
         Ok(()) => {
             println!("throughput baseline: {scenarios_per_sec:.2} scenarios/s -> {path}");
             0
@@ -362,26 +518,110 @@ fn scale_sweep(path: &str) -> i32 {
             p
         })
         .collect();
-    // Preserve the recorded engine-throughput number; measure it fresh
-    // only when the file does not exist yet.
-    let (scenarios_per_sec, batch) = match load_baseline(path).and_then(|b| {
-        Some((
-            b.get("scenarios_per_sec")?.as_f64()?,
-            b.get("batch_size")?.as_u64()? as usize,
-        ))
-    }) {
-        Some(kept) => kept,
-        None => measure_throughput(THROUGHPUT_JOBS, 3),
+    let baseline = Baseline {
+        scale,
+        ..Baseline::load_or_measure(path)
     };
-    match std::fs::write(path, render_baseline(batch, scenarios_per_sec, &scale)) {
+    match baseline.write(path) {
         Ok(()) => {
-            println!("scale trajectory ({} points) -> {path}", scale.len());
+            println!(
+                "scale trajectory ({} points) -> {path}",
+                baseline.scale.len()
+            );
             0
         }
         Err(err) => {
             eprintln!("FAIL: cannot write {path}: {err}");
             1
         }
+    }
+}
+
+fn dense_sweep(path: &str) -> i32 {
+    println!("dense sweep: bursty TS/HB/DFS, 1 s tick, {DENSE_TICKS} ticks, event driver\n");
+    let dense: Vec<DensePoint> = DENSE_SCALES
+        .iter()
+        .map(|&servers| {
+            let p = measure_dense_point(servers as u64, 3);
+            println!(
+                "{:<40} {:>10.3} s  ({:.3e} server-ticks/s)",
+                format!("dense/{servers}"),
+                p.wall_secs,
+                p.server_ticks_per_sec
+            );
+            p
+        })
+        .collect();
+    let baseline = Baseline {
+        dense,
+        ..Baseline::load_or_measure(path)
+    };
+    match baseline.write(path) {
+        Ok(()) => {
+            println!(
+                "dense trajectory ({} points) -> {path}",
+                baseline.dense.len()
+            );
+            0
+        }
+        Err(err) => {
+            eprintln!("FAIL: cannot write {path}: {err}");
+            1
+        }
+    }
+}
+
+fn dense_guard(path: &str) -> i32 {
+    let regenerate = || {
+        eprintln!(
+            "regenerate with: cargo bench -p heb-bench --bench microbench -- --dense-sweep {path}"
+        )
+    };
+    let Some(baseline) = load_baseline(path) else {
+        eprintln!("FAIL: cannot read baseline {path}");
+        regenerate();
+        return 1;
+    };
+    let recorded = parse_dense(&baseline);
+    if recorded.is_empty() {
+        eprintln!("FAIL: baseline {path} records no dense trajectory");
+        regenerate();
+        return 1;
+    }
+    let floor_fraction = baseline
+        .get("dense_floor_fraction")
+        .and_then(heb_serve::Json::as_f64)
+        .unwrap_or(DENSE_FLOOR_FRACTION);
+    println!(
+        "dense guard: {} recorded point(s), bursty TS/HB/DFS, 1 s tick, {DENSE_TICKS} ticks\n",
+        recorded.len()
+    );
+    let mut failed = false;
+    for r in &recorded {
+        let measured = measure_dense_point(r.servers, 3);
+        let floor = r.server_ticks_per_sec * floor_fraction;
+        let verdict = if measured.server_ticks_per_sec < floor {
+            failed = true;
+            "FAIL (below floor)"
+        } else {
+            "ok"
+        };
+        println!(
+            "dense/{:<8} recorded {:>9.3e}  measured {:>9.3e} server-ticks/s  \
+             (floor {:>9.3e}, wall {:.3} s)  {verdict}",
+            r.servers,
+            r.server_ticks_per_sec,
+            measured.server_ticks_per_sec,
+            floor,
+            measured.wall_secs
+        );
+    }
+    if failed {
+        eprintln!("FAIL: dense trajectory regressed");
+        1
+    } else {
+        println!("OK: every dense point holds its throughput floor");
+        0
     }
 }
 
@@ -661,6 +901,17 @@ fn main() {
     if let Some(path) = value_of("--scale-sweep") {
         let path = path.unwrap_or_else(|| "BENCH_engine_throughput.json".to_string());
         std::process::exit(scale_sweep(&path));
+    }
+    if let Some(path) = value_of("--dense-sweep") {
+        let path = path.unwrap_or_else(|| "BENCH_engine_throughput.json".to_string());
+        std::process::exit(dense_sweep(&path));
+    }
+    if let Some(path) = value_of("--dense-guard") {
+        let Some(path) = path else {
+            eprintln!("--dense-guard needs a baseline path");
+            std::process::exit(2);
+        };
+        std::process::exit(dense_guard(&path));
     }
     if let Some(path) = value_of("--scale-guard") {
         let Some(path) = path else {

@@ -182,4 +182,7 @@ cargo bench -q -p heb-bench --bench microbench -- --sparse-speedup-guard "$PWD/B
 echo "== megafleet scale guard (1k/10k/100k-server day within per-point floors)"
 cargo bench -q -p heb-bench --bench microbench -- --scale-guard "$PWD/BENCH_engine_throughput.json"
 
+echo "== dense guard (1k/10k bursty servers on a 1 s tick within per-point floors)"
+cargo bench -q -p heb-bench --bench microbench -- --dense-guard "$PWD/BENCH_engine_throughput.json"
+
 echo "verify: all checks passed"
