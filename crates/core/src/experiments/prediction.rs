@@ -10,7 +10,7 @@
 use crate::config::SimConfig;
 use heb_forecast::{mae, mape, HoltWinters, LastValue, MovingAverage, Predictor, SeasonalNaive};
 use heb_units::Watts;
-use heb_workload::Archetype;
+use heb_workload::{Archetype, UtilizationLanes};
 
 /// A scoring closure: runs a predictor over a series and returns the
 /// aligned `(forecasts, actuals)` pair.
@@ -31,21 +31,18 @@ pub struct PredictionPoint {
 /// maximum of the rack's demand over `slots` control slots.
 fn slot_peaks(config: &SimConfig, workload: Archetype, slots: usize, seed: u64) -> Vec<f64> {
     let ticks_per_slot = config.ticks_per_slot() as usize;
-    let mut generators: Vec<_> = (0..config.servers)
-        .map(|idx| workload.generator(seed.wrapping_add(idx as u64 * 7919)))
-        .collect();
+    let mut lanes = UtilizationLanes::round_robin(&[workload], config.servers, seed);
+    let mut drive = Vec::with_capacity(lanes.len());
     let per_server_peak = 70.0;
     let per_server_idle = 30.0;
     (0..slots)
         .map(|_| {
             let mut peak = 0.0_f64;
             for _ in 0..ticks_per_slot {
-                let demand: f64 = generators
-                    .iter_mut()
-                    .map(|g| {
-                        per_server_idle
-                            + (per_server_peak - per_server_idle) * g.next_utilization().get()
-                    })
+                lanes.next_into(&mut drive);
+                let demand: f64 = drive
+                    .iter()
+                    .map(|u| per_server_idle + (per_server_peak - per_server_idle) * u.get())
                     .sum();
                 peak = peak.max(demand);
             }

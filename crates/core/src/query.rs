@@ -15,9 +15,8 @@
 
 use std::fmt;
 
-use heb_powersys::{Cluster, FrequencyLevel};
 use heb_units::{Joules, Watts};
-use heb_workload::{Archetype, PeakClass, PowerTrace};
+use heb_workload::{Archetype, PowerTrace};
 
 use crate::config::{ConfigError, SimConfig};
 use crate::policy::PolicyKind;
@@ -195,10 +194,10 @@ pub fn scenario_mppu(scenario: &Scenario) -> f64 {
 }
 
 /// Synthesises the aggregate cluster demand trace a scenario implies:
-/// the same prototype cluster, round-robin workload assignment,
-/// per-server generator seeding (`seed + idx * 7919`), and frequency
-/// grouping as [`Simulation::try_new`], sampled once per tick with no
-/// power-capping feedback. This is the open-loop demand the paper's
+/// the rack [`Simulation::try_new`] builds (one shared constructor:
+/// round-robin workload assignment, per-server seeding
+/// `seed + idx * 7919`, frequency grouping), its utilization lanes
+/// stepped once per tick with no power-capping feedback. This is the open-loop demand the paper's
 /// MPPU metric is defined over.
 ///
 /// [`Simulation::try_new`]: crate::Simulation::try_new
@@ -212,20 +211,12 @@ pub fn demand_trace(
     if workloads.is_empty() || config.servers == 0 {
         return PowerTrace::new(Vec::new(), config.tick);
     }
-    let mut cluster = Cluster::prototype(config.servers);
-    let mut generators = Vec::with_capacity(config.servers);
-    for idx in 0..config.servers {
-        let archetype = workloads[idx % workloads.len()];
-        generators.push(archetype.generator(seed.wrapping_add(idx as u64 * 7919)));
-        let freq = match archetype.peak_class() {
-            PeakClass::Small => FrequencyLevel::Low,
-            PeakClass::Large => FrequencyLevel::High,
-        };
-        cluster.set_frequency(idx, freq);
-    }
+    let (mut cluster, mut lanes) = crate::sim::seeded_rack(config.servers, workloads, seed, None);
+    let mut drive = Vec::with_capacity(lanes.len());
     let mut samples = Vec::with_capacity(ticks as usize);
     for _ in 0..ticks {
-        cluster.set_utilizations_with(generators.iter_mut().map(|g| g.next_utilization()));
+        lanes.next_into(&mut drive);
+        cluster.set_utilizations(&drive);
         samples.push(cluster.total_demand());
     }
     PowerTrace::new(samples, config.tick)
@@ -235,6 +226,8 @@ pub fn demand_trace(
 mod tests {
     use super::*;
     use crate::scenario::ticks_for;
+    use heb_powersys::{Cluster, FrequencyLevel};
+    use heb_workload::PeakClass;
 
     fn quick_query() -> WhatIfQuery {
         WhatIfQuery::new(vec![Archetype::WebSearch, Archetype::Terasort], 0.05, 7)

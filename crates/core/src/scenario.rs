@@ -463,11 +463,9 @@ impl Scenario {
     /// Returns a [`SimError`] for an invalid config, an empty workload
     /// mix, or an empty solar trace.
     pub fn build(&self) -> Result<Simulation, SimError> {
-        let mut sim = Simulation::try_new(self.config.clone(), &self.workloads, self.seed)?
-            .try_with_mode(self.mode.clone())?;
-        if let Some(level) = self.steady {
-            sim = sim.with_steady_workload(level);
-        }
+        let mut sim =
+            Simulation::try_build(self.config.clone(), &self.workloads, self.seed, self.steady)?
+                .try_with_mode(self.mode.clone())?;
         if let Some(schedule) = &self.faults {
             sim = sim.with_faults(schedule.clone());
         }

@@ -22,15 +22,15 @@ use crate::metrics::SimReport;
 use crate::policy::{ChargePriority, DischargePriority, PolicyKind};
 use heb_esd::{ChargeResult, DischargeResult, StorageDevice};
 use heb_powersys::{
-    Cluster, DeliveryPath, FrequencyLevel, Ipdu, MeterFault, PowerSource, RenewableFeed,
-    SwitchFabric, UtilityFeed,
+    Cluster, ConverterChain, DeliveryPath, FrequencyLevel, Ipdu, MeterFault, PowerSource,
+    RenewableFeed, SwitchFabric, UtilityFeed,
 };
 use heb_telemetry::{
     null_recorder, ControllerEvent, DriverEvent, EsdEvent, Event, FaultEvent as TraceFaultEvent,
     PoolId, PowerEvent, RecorderHandle,
 };
 use heb_units::{Joules, Ratio, Seconds, Watts};
-use heb_workload::{Archetype, BurstProfile, PeakClass, PowerTrace, UtilizationGenerator};
+use heb_workload::{Archetype, PeakClass, PowerTrace, UtilizationLanes};
 
 /// Where the rack's power comes from.
 #[derive(Debug, Clone)]
@@ -41,6 +41,35 @@ pub enum PowerMode {
     /// Renewable-powered: supply follows the trace (cycled if shorter
     /// than the run); surpluses charge buffers and REU is tracked.
     Solar(PowerTrace),
+}
+
+/// The simulator's per-server workload assignment, in one place:
+/// `servers` prototype servers whose utilization streams follow
+/// [`UtilizationLanes::round_robin`] (archetypes round-robin, server
+/// `i` seeded `seed + i * 7919`), with servers running small-peak
+/// archetypes in the low-frequency governor group and the rest high —
+/// the paper's two-group setup. With a `steady` level the streams are
+/// [`UtilizationLanes::steady`] instead (the frequency groups still
+/// follow the archetypes).
+pub(crate) fn seeded_rack(
+    servers: usize,
+    archetypes: &[Archetype],
+    seed: u64,
+    steady: Option<Ratio>,
+) -> (Cluster, UtilizationLanes) {
+    let mut cluster = Cluster::prototype(servers);
+    for (idx, archetype) in (0..servers).zip(archetypes.iter().cycle()) {
+        let freq = match archetype.peak_class() {
+            PeakClass::Small => FrequencyLevel::Low,
+            PeakClass::Large => FrequencyLevel::High,
+        };
+        cluster.set_frequency(idx, freq);
+    }
+    let lanes = match steady {
+        Some(level) => UtilizationLanes::steady(servers, level),
+        None => UtilizationLanes::round_robin(archetypes, servers, seed),
+    };
+    (cluster, lanes)
 }
 
 /// Which pools exchanged energy during a tick (the rest idle to model
@@ -109,7 +138,11 @@ pub struct Simulation {
     utility: UtilityFeed,
     renewable: RenewableFeed,
     mode: PowerMode,
-    generators: Vec<UtilizationGenerator>,
+    /// One utilization stream per server, stepped in one pass per tick.
+    lanes: UtilizationLanes,
+    /// The tick's utilizations, drawn from `lanes` and applied to the
+    /// cluster; kept across ticks so the drive allocates nothing.
+    drive: Vec<Ratio>,
     plan: SlotPlan,
     clock: SimClock,
     slot_peak: Watts,
@@ -162,21 +195,23 @@ impl Simulation {
         archetypes: &[Archetype],
         seed: u64,
     ) -> Result<Self, SimError> {
+        Self::try_build(config, archetypes, seed, None)
+    }
+
+    /// [`Simulation::try_new`], optionally followed by
+    /// [`Simulation::with_steady_workload`] — without seeding per-server
+    /// streams that the steady level would replace.
+    pub(crate) fn try_build(
+        config: SimConfig,
+        archetypes: &[Archetype],
+        seed: u64,
+        steady: Option<Ratio>,
+    ) -> Result<Self, SimError> {
         config.try_validate()?;
         if archetypes.is_empty() {
             return Err(SimError::NoWorkloads);
         }
-        let mut cluster = Cluster::prototype(config.servers);
-        let mut generators = Vec::with_capacity(config.servers);
-        for idx in 0..config.servers {
-            let archetype = archetypes[idx % archetypes.len()];
-            generators.push(archetype.generator(seed.wrapping_add(idx as u64 * 7919)));
-            let freq = match archetype.peak_class() {
-                PeakClass::Small => FrequencyLevel::Low,
-                PeakClass::Large => FrequencyLevel::High,
-            };
-            cluster.set_frequency(idx, freq);
-        }
+        let (cluster, lanes) = seeded_rack(config.servers, archetypes, seed, steady);
         let sc_fraction = if config.policy == PolicyKind::BaOnly {
             heb_units::Ratio::ZERO
         } else {
@@ -202,7 +237,8 @@ impl Simulation {
             utility,
             renewable: RenewableFeed::new(),
             mode: PowerMode::Utility,
-            generators,
+            drive: Vec::new(),
+            lanes,
             plan,
             clock: SimClock::new(config.tick),
             slot_peak: Watts::zero(),
@@ -285,16 +321,13 @@ impl Simulation {
 
     /// Replaces every server's workload stream with a constant,
     /// noiseless level (chainable at construction). The streams this
-    /// produces satisfy [`heb_workload::UtilizationGenerator::steady_level`],
-    /// so an event-mode driver can leap across the whole valley —
-    /// the sparse-workload microbench and the leap equivalence tests
-    /// are built on this.
+    /// produces satisfy [`UtilizationLanes::is_steady`], so an
+    /// event-mode driver can leap across the whole valley — the
+    /// sparse-workload microbench and the leap equivalence tests are
+    /// built on this.
     #[must_use]
     pub fn with_steady_workload(mut self, utilization: Ratio) -> Self {
-        let profile = BurstProfile::steady(utilization.get());
-        for generator in &mut self.generators {
-            *generator = UtilizationGenerator::new(profile, 0);
-        }
+        self.lanes = UtilizationLanes::steady(self.lanes.len(), utilization);
         self
     }
 
@@ -436,9 +469,10 @@ impl Simulation {
         let unserved_before = self.report.unserved_energy;
         let shed_events_before = self.report.shed_events;
 
-        // Drive workloads.
-        self.cluster
-            .set_utilizations_with(self.generators.iter_mut().map(|g| g.next_utilization()));
+        // Drive workloads: every lane draws once, and one fused pass
+        // writes utilizations, draws and the per-rack demand sums.
+        self.lanes.next_into(&mut self.drive);
+        self.cluster.set_utilizations(&self.drive);
 
         // Periodic restore check (every 30 s): bring shed servers back
         // when supply can carry the whole rack again.
@@ -478,30 +512,19 @@ impl Simulation {
         // What actually reaches the servers depends on the architecture
         // (Figure 7): a centralized double-converting UPS taxes every
         // watt on the utility path, HEB does not.
-        let u2l = self
-            .config
-            .topology
-            .chain(DeliveryPath::UtilityToLoad)
-            .clone();
-        let b2l = self
-            .config
-            .topology
-            .chain(DeliveryPath::BufferToLoad)
-            .clone();
-        let s2b = self
-            .config
-            .topology
-            .chain(DeliveryPath::SourceToBuffer)
-            .clone();
-        let supply_at_load = u2l.forward(raw_limit);
+        let supply_at_load = self.chain(DeliveryPath::UtilityToLoad).forward(raw_limit);
 
         let mut activity = PoolActivity::default();
         if demand > supply_at_load {
             let mismatch = demand - supply_at_load;
             // Buffers must source extra to cover the buffer→load path.
-            let buffer_request = b2l.required_input(mismatch);
+            let buffer_request = self
+                .chain(DeliveryPath::BufferToLoad)
+                .required_input(mismatch);
             let outcome = self.discharge_buffers(buffer_request, dt, &mut activity);
-            let at_load = b2l.forward(Watts::new(outcome.delivered.get() / dt.get()));
+            let at_load = self
+                .chain(DeliveryPath::BufferToLoad)
+                .forward(Watts::new(outcome.delivered.get() / dt.get()));
             self.report.conversion_loss += outcome.delivered - at_load * dt;
             let shortfall = mismatch - at_load;
             if shortfall.get() > 1.0 {
@@ -522,7 +545,9 @@ impl Simulation {
             }
         } else {
             // Feed power needed at the source to carry the demand.
-            let raw_needed = u2l.required_input(demand);
+            let raw_needed = self
+                .chain(DeliveryPath::UtilityToLoad)
+                .required_input(demand);
             self.report.conversion_loss += (raw_needed - demand) * dt;
             let headroom_raw = (raw_limit - raw_needed).max(Watts::zero());
             match &self.mode {
@@ -534,10 +559,14 @@ impl Simulation {
                 }
             }
             // Offer the headroom to the buffers through the charging path.
-            let offered = s2b.forward(headroom_raw);
+            let offered = self
+                .chain(DeliveryPath::SourceToBuffer)
+                .forward(headroom_raw);
             let charged = self.charge_buffers(offered, dt, &mut activity);
             let charged_power = Watts::new(charged.get() / dt.get());
-            let source_draw = s2b.required_input(charged_power);
+            let source_draw = self
+                .chain(DeliveryPath::SourceToBuffer)
+                .required_input(charged_power);
             self.report.conversion_loss += (source_draw - charged_power) * dt;
             if let PowerMode::Solar(_) = &self.mode {
                 // Energy absorbed into storage counts toward REU.
@@ -597,6 +626,12 @@ impl Simulation {
         self.clock.advance();
     }
 
+    /// The converter chain the configured topology routes `path`
+    /// through.
+    fn chain(&self, path: DeliveryPath) -> &ConverterChain {
+        self.config.topology.chain(path)
+    }
+
     /// Attempts to fast-forward up to `max_ticks` provably quiet ticks
     /// in one call, returning how many were covered (`0` means "this
     /// tick is not quiet — use [`Simulation::step`]").
@@ -621,7 +656,9 @@ impl Simulation {
     pub(crate) fn try_leap(&mut self, max_ticks: u64) -> u64 {
         let idx = self.clock.index();
         let tps = self.config.ticks_per_slot();
-        // The O(1) refusals come first; the O(servers) scans last.
+        // No refusal scans the servers: each costs O(1), O(workload
+        // profiles) or O(buffer strings). Bursty lanes (the dense
+        // regime) refuse here.
         if max_ticks == 0
             || (idx > 0 && idx.is_multiple_of(tps)) // Slot boundaries always take the dense path.
             || !matches!(self.mode, PowerMode::Utility)
@@ -631,6 +668,10 @@ impl Simulation {
             || self.recovery_pending_since.is_some()
             || self.injector.any_active()
             || !self.ipdu.is_noiseless()
+            || !self.lanes.is_steady()
+            || !self.cluster.all_running_steady()
+            || !self.buffers.sc_pool().charge_quiescent()
+            || !self.buffers.ba_pool().charge_quiescent()
         {
             return 0;
         }
@@ -649,14 +690,6 @@ impl Simulation {
             return 0;
         }
 
-        let steady = self.cluster.all_running_steady()
-            && self.generators.iter().all(|g| g.steady_level().is_some())
-            && self.buffers.sc_pool().charge_quiescent()
-            && self.buffers.ba_pool().charge_quiescent();
-        if !steady {
-            return 0;
-        }
-
         #[cfg(debug_assertions)]
         let supplied_before = self.utility.energy_supplied() + self.renewable.energy_used();
 
@@ -664,21 +697,12 @@ impl Simulation {
         // set utilizations once and precompute the power math. (If the
         // demand turns out to exceed supply this is harmlessly redone
         // by step(): the steady stream reproduces the same values.)
-        // Every generator is steady (checked above), so the stream
-        // yields one level per generator, in order.
-        self.cluster.set_utilizations_with(
-            self.generators
-                .iter()
-                .filter_map(UtilizationGenerator::steady_level),
-        );
+        self.lanes.steady_into(&mut self.drive);
+        self.cluster.set_utilizations(&self.drive);
         let dt = self.config.tick;
         let demand = self.cluster.total_demand();
         let raw_limit = self.utility.effective_budget();
-        let u2l = self
-            .config
-            .topology
-            .chain(DeliveryPath::UtilityToLoad)
-            .clone();
+        let u2l = self.chain(DeliveryPath::UtilityToLoad);
         if demand > u2l.forward(raw_limit) {
             return 0; // A standing mismatch discharges buffers: dense.
         }
@@ -1074,14 +1098,8 @@ impl Simulation {
             PowerMode::Utility => self.utility.effective_budget(),
             PowerMode::Solar(_) => self.renewable.available(),
         };
-        let supply = self
-            .config
-            .topology
-            .chain(DeliveryPath::UtilityToLoad)
-            .forward(supply);
+        let supply = self.chain(DeliveryPath::UtilityToLoad).forward(supply);
         let buffer_power = self
-            .config
-            .topology
             .chain(DeliveryPath::BufferToLoad)
             .forward(self.buffers.total_discharge_power());
         let deliverable = supply + buffer_power * 0.8;

@@ -6,8 +6,14 @@
 //! object-per-server surface survives as thin views ([`Cluster::server`]
 //! materialises one [`Server`]) and targeted per-index mutators. All
 //! per-tick aggregate queries are O(dirty racks), not O(servers).
+//!
+//! The workload drive ([`Cluster::set_utilizations_with`] and its
+//! slice and broadcast forms) is one fused pass: per rack, in index
+//! order, it writes each utilization and its cached draw and adds the
+//! draw into the rack's demand partial sum, so the demand total that
+//! follows folds only the per-rack sums.
 
-use crate::agg::AggTree;
+use crate::agg::{AggTree, RACK_FANOUT};
 use crate::server::{FrequencyLevel, PowerState, Server};
 use crate::soa::ServerArrays;
 use heb_units::{Joules, Ratio, Seconds, Watts};
@@ -113,35 +119,34 @@ impl Cluster {
 
     /// Per-server draws in index order (the metering sweep).
     pub fn power_draws(&self) -> impl Iterator<Item = Watts> + '_ {
-        (0..self.fleet.len()).map(|i| self.fleet.power_draw(i))
+        self.fleet.draws().iter().copied()
     }
 
     /// Sets every server's utilization for the next tick.
     pub fn set_all_utilization(&mut self, utilization: Ratio) {
-        for i in 0..self.fleet.len() {
-            if self.fleet.set_utilization(i, utilization) {
-                self.agg.touch_demand(i);
-            }
-        }
+        self.set_utilizations_with(std::iter::repeat(utilization));
     }
 
     /// Sets per-server utilizations; extra values are ignored, missing
     /// values leave the server unchanged.
     pub fn set_utilizations(&mut self, utilizations: &[Ratio]) {
-        for (i, &u) in utilizations.iter().enumerate().take(self.fleet.len()) {
-            if self.fleet.set_utilization(i, u) {
-                self.agg.touch_demand(i);
-            }
-        }
+        self.set_utilizations_with(utilizations.iter().copied());
     }
 
     /// Sets utilizations from a stream, applied in index order — the
-    /// allocation-free form of the per-tick workload drive.
-    pub fn set_utilizations_with(&mut self, utilizations: impl Iterator<Item = Ratio>) {
-        for (i, u) in utilizations.enumerate().take(self.fleet.len()) {
-            if self.fleet.set_utilization(i, u) {
-                self.agg.touch_demand(i);
-            }
+    /// per-tick workload drive. One fused pass per rack writes each
+    /// utilization and its draw and rebuilds the rack's demand partial
+    /// sum; extra values are ignored, and servers past the stream's end
+    /// keep their utilization.
+    pub fn set_utilizations_with(&mut self, utilizations: impl IntoIterator<Item = Ratio>) {
+        let mut utilizations = utilizations.into_iter();
+        let n = self.fleet.len();
+        for rack in 0..self.agg.racks() {
+            let start = rack * RACK_FANOUT;
+            let sum = self
+                .fleet
+                .drive_range(start..(start + RACK_FANOUT).min(n), &mut utilizations);
+            self.agg.set_rack_demand(rack, sum);
         }
     }
 

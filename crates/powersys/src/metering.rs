@@ -142,18 +142,20 @@ impl Ipdu {
     ///
     /// History holds scalar readings and the channel buffer is reused,
     /// so metering allocates nothing per tick once the buffer has grown
-    /// to the fleet size.
+    /// to the fleet size. The channels are copied from the cluster's
+    /// draw cache; the total adds them left to right.
     pub fn sample(&mut self, cluster: &Cluster, at: Seconds) -> &MeterReading {
         self.channels.clear();
+        let truth = cluster.fleet().draws();
         let noise_std = self.noise_std;
-        for i in 0..cluster.len() {
-            let truth = cluster.power_draw(i);
-            let sampled = if noise_std > 0.0 {
-                (truth * (1.0 + noise_std * self.noise_sample())).max(Watts::zero())
-            } else {
-                truth
-            };
-            self.channels.push(sampled);
+        if noise_std > 0.0 {
+            for &draw in truth {
+                let sampled = (draw * (1.0 + noise_std * self.noise_sample())).max(Watts::zero());
+                self.channels.push(sampled);
+            }
+        } else {
+            // An ideal instrument reads the cluster's cached draws.
+            self.channels.extend_from_slice(truth);
         }
         let total = self.channels.iter().copied().sum();
         self.push(MeterReading { at, total })

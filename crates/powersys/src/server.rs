@@ -87,13 +87,14 @@ pub(crate) fn prospective_draw_raw(
 /// One metering tick of the server power model over exploded state —
 /// the shared kernel behind [`Server::tick`] and the SoA batch sweep.
 /// Field-for-field identical to the historical per-object tick.
+/// `draw` is the server's current draw (its [`prospective_draw_raw`]
+/// when running; unused when off), which the SoA layout keeps cached.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tick_raw(
     params: &ServerParams,
     state: PowerState,
-    utilization: Ratio,
-    frequency: FrequencyLevel,
+    draw: Watts,
     downtime: &mut Seconds,
     last_active: &mut Seconds,
     pending_restart_energy: &mut Joules,
@@ -107,7 +108,7 @@ pub(crate) fn tick_raw(
         }
         PowerState::On => {
             *last_active = now;
-            let mut energy = prospective_draw_raw(params, utilization, frequency) * dt;
+            let mut energy = draw * dt;
             if pending_restart_energy.get() > 0.0 {
                 // Spread the boot-energy surcharge over the first
                 // post-restart ticks at up to peak draw.
@@ -284,11 +285,11 @@ impl Server {
     /// `now`, returning the energy consumed this tick (including any
     /// amortised restart energy).
     pub fn tick(&mut self, now: Seconds, dt: Seconds) -> Joules {
+        let draw = self.power_draw();
         tick_raw(
             &self.params,
             self.state,
-            self.utilization,
-            self.frequency,
+            draw,
             &mut self.downtime,
             &mut self.last_active,
             &mut self.pending_restart_energy,

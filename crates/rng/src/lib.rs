@@ -57,25 +57,22 @@ impl Rng {
         }
     }
 
+    /// The four state words, in order — for callers that keep many
+    /// streams as parallel arrays and step them with [`xoshiro_step`].
+    #[must_use]
+    pub fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[0]
-            .wrapping_add(self.s[3])
-            .rotate_left(23)
-            .wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
+        let [s0, s1, s2, s3] = &mut self.s;
+        xoshiro_step(s0, s1, s2, s3)
     }
 
     /// A uniform sample in `[0, 1)` with 53 bits of precision.
     pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        unit_f64(self.next_u64())
     }
 
     /// A uniform sample in `[lo, hi)`.
@@ -85,7 +82,7 @@ impl Rng {
     /// Panics if `lo >= hi` or either bound is non-finite.
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo < hi && lo.is_finite() && hi.is_finite(), "bad range");
-        lo + self.gen_f64() * (hi - lo)
+        range_of_unit(self.gen_f64(), lo, hi)
     }
 
     /// A uniform integer in `[lo, hi)` (Lemire-style rejection-free
@@ -123,15 +120,69 @@ impl Rng {
         if mean <= 0.0 {
             return 0.0;
         }
-        // Map into (0, 1] so ln never sees zero.
-        let u = 1.0 - self.gen_f64();
-        -mean * u.ln()
+        exp_of_unit(self.gen_f64(), mean)
     }
+}
+
+/// One xoshiro256++ step over state held in four separate words — the
+/// core of [`Rng::next_u64`], exposed so a caller keeping many streams
+/// as four parallel state arrays steps lane `i` as
+/// `xoshiro_step(&mut s0[i], &mut s1[i], &mut s2[i], &mut s3[i])` and
+/// draws exactly what an [`Rng`] with that state would.
+#[inline]
+pub fn xoshiro_step(s0: &mut u64, s1: &mut u64, s2: &mut u64, s3: &mut u64) -> u64 {
+    let result = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
+    let t = *s1 << 17;
+    *s2 ^= *s0;
+    *s3 ^= *s1;
+    *s1 ^= *s2;
+    *s0 ^= *s3;
+    *s2 ^= t;
+    *s3 = s3.rotate_left(45);
+    result
+}
+
+/// Maps a raw 64-bit output to a uniform sample in `[0, 1)` with 53
+/// bits of precision (the [`Rng::gen_f64`] transform).
+#[inline]
+#[must_use]
+pub fn unit_f64(raw: u64) -> f64 {
+    (raw >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Maps a uniform `u` in `[0, 1)` into `[lo, hi)` (the
+/// [`Rng::range_f64`] transform, without its bound checks).
+#[inline]
+#[must_use]
+pub fn range_of_unit(u: f64, lo: f64, hi: f64) -> f64 {
+    lo + u * (hi - lo)
+}
+
+/// Maps a uniform `u` in `[0, 1)` to an exponential sample with the
+/// given positive mean by inverse transform (the [`Rng::exp_f64`]
+/// transform for `mean > 0`).
+#[inline]
+#[must_use]
+pub fn exp_of_unit(u: f64, mean: f64) -> f64 {
+    // Map into (0, 1] so ln never sees zero.
+    let u = 1.0 - u;
+    -mean * u.ln()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn split_state_step_matches_the_generator() {
+        let mut rng = Rng::seed_from_u64(11);
+        let [mut s0, mut s1, mut s2, mut s3] = rng.state();
+        for _ in 0..1000 {
+            let split = xoshiro_step(&mut s0, &mut s1, &mut s2, &mut s3);
+            assert_eq!(split, rng.next_u64());
+        }
+        assert_eq!([s0, s1, s2, s3], rng.state());
+    }
 
     #[test]
     fn deterministic_under_seed() {

@@ -66,6 +66,7 @@ impl Ratio {
     }
 
     /// Creates a ratio by clamping `value` into `[0, 1]` (NaN becomes 0).
+    #[inline]
     #[must_use]
     pub fn new_clamped(value: f64) -> Self {
         if value.is_nan() {
@@ -100,24 +101,28 @@ impl Ratio {
 
     /// `1 − self`, clamped at zero — e.g. the battery share when `self`
     /// is the super-capacitor share `R_λ`.
+    #[inline]
     #[must_use]
     pub fn complement(self) -> Self {
         Self((1.0 - self.0).max(0.0))
     }
 
     /// Whether the fraction lies within the closed unit interval.
+    #[inline]
     #[must_use]
     pub fn in_unit_interval(self) -> bool {
         self.0.is_finite() && (0.0..=1.0).contains(&self.0)
     }
 
     /// Clamps into `[0, 1]`.
+    #[inline]
     #[must_use]
     pub fn clamp_unit(self) -> Self {
         Self::new_clamped(self.0)
     }
 
     /// The smaller of two ratios.
+    #[inline]
     #[must_use]
     pub fn min(self, other: Self) -> Self {
         if other.0 < self.0 {
@@ -128,6 +133,7 @@ impl Ratio {
     }
 
     /// The larger of two ratios.
+    #[inline]
     #[must_use]
     pub fn max(self, other: Self) -> Self {
         if other.0 > self.0 {

@@ -1,8 +1,60 @@
 //! Seeded stochastic utilization streams.
 
 use crate::archetype::BurstProfile;
-use heb_rng::Rng;
+use heb_rng::{unit_f64, xoshiro_step, Rng};
 use heb_units::Ratio;
+
+/// One uniform draw in `[0, 1)` from xoshiro256++ state held as four
+/// words — what [`Rng::gen_f64`] draws from an [`Rng`] with that state.
+#[inline]
+fn draw(state: &mut [u64; 4]) -> f64 {
+    let [s0, s1, s2, s3] = state;
+    unit_f64(xoshiro_step(s0, s1, s2, s3))
+}
+
+/// The single authoritative utilization step: one sample of the burst
+/// process for `profile`, advancing the xoshiro256++ `state` by the
+/// uniforms it draws, in a fixed order — the arrival draw (only between
+/// bursts), the duration and height draws (only when a burst starts),
+/// then the two noise draws. Both [`UtilizationGenerator`] and
+/// [`crate::UtilizationLanes`] step through this function, so the two
+/// layouts cannot drift apart bitwise.
+///
+/// `profile.mean_burst_secs` must be positive (every validated profile
+/// has it), so the duration draw always happens, as in
+/// [`Rng::exp_f64`].
+#[inline]
+pub(crate) fn next_utilization_raw(
+    profile: &BurstProfile,
+    state: &mut [u64; 4],
+    burst_remaining: &mut u64,
+    burst_level: &mut f64,
+) -> Ratio {
+    let p = profile;
+    // Burst arrivals: Bernoulli approximation of a Poisson process
+    // at one-second resolution.
+    if *burst_remaining == 0 {
+        let arrival_prob = p.bursts_per_hour / 3600.0;
+        if draw(state) < arrival_prob {
+            // Exponential duration via inverse transform.
+            let dur = heb_rng::exp_of_unit(draw(state), p.mean_burst_secs);
+            *burst_remaining = dur.ceil().max(1.0) as u64;
+            // Burst height jitters ±25 % around the profile mean.
+            let jitter = heb_rng::range_of_unit(draw(state), 0.75, 1.25);
+            *burst_level = p.burst_amplitude * jitter;
+        }
+    }
+    let burst = if *burst_remaining > 0 {
+        *burst_remaining -= 1;
+        *burst_level
+    } else {
+        0.0
+    };
+    // Cheap symmetric noise (Irwin–Hall-of-2), bounded and smooth
+    // enough for load traces.
+    let noise = (draw(state) + draw(state) - 1.0) * p.base_noise * 2.0;
+    Ratio::new_clamped(p.base_utilization + noise + burst)
+}
 
 /// An infinite, reproducible per-server utilization stream driven by a
 /// [`BurstProfile`]: Gaussian-ish noise around the base load, plus
@@ -24,7 +76,8 @@ use heb_units::Ratio;
 #[derive(Debug, Clone)]
 pub struct UtilizationGenerator {
     profile: BurstProfile,
-    rng: Rng,
+    /// xoshiro256++ state, seeded as [`Rng::seed_from_u64`] seeds it.
+    state: [u64; 4],
     /// Remaining ticks of the burst currently in progress, if any.
     burst_remaining: u64,
     /// Amplitude of the burst currently in progress.
@@ -42,7 +95,7 @@ impl UtilizationGenerator {
         profile.validate();
         Self {
             profile,
-            rng: Rng::seed_from_u64(seed),
+            state: Rng::seed_from_u64(seed).state(),
             burst_remaining: 0,
             burst_level: 0.0,
         }
@@ -56,30 +109,12 @@ impl UtilizationGenerator {
 
     /// Produces the next one-second utilization sample.
     pub fn next_utilization(&mut self) -> Ratio {
-        let p = &self.profile;
-        // Burst arrivals: Bernoulli approximation of a Poisson process
-        // at one-second resolution.
-        if self.burst_remaining == 0 {
-            let arrival_prob = p.bursts_per_hour / 3600.0;
-            if self.rng.gen_f64() < arrival_prob {
-                // Exponential duration via inverse transform.
-                let dur = self.rng.exp_f64(p.mean_burst_secs);
-                self.burst_remaining = dur.ceil().max(1.0) as u64;
-                // Burst height jitters ±25 % around the profile mean.
-                let jitter = self.rng.range_f64(0.75, 1.25);
-                self.burst_level = p.burst_amplitude * jitter;
-            }
-        }
-        let burst = if self.burst_remaining > 0 {
-            self.burst_remaining -= 1;
-            self.burst_level
-        } else {
-            0.0
-        };
-        // Cheap symmetric noise (Irwin–Hall-of-2), bounded and smooth
-        // enough for load traces.
-        let noise = (self.rng.gen_f64() + self.rng.gen_f64() - 1.0) * p.base_noise * 2.0;
-        Ratio::new_clamped(p.base_utilization + noise + burst)
+        next_utilization_raw(
+            &self.profile,
+            &mut self.state,
+            &mut self.burst_remaining,
+            &mut self.burst_level,
+        )
     }
 
     /// Collects the next `n` samples into a vector.

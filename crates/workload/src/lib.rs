@@ -11,6 +11,8 @@
 //!   height/width reproduce each group's peak shape;
 //! * [`UtilizationGenerator`] — a seeded, reproducible per-server
 //!   utilization stream for any archetype;
+//! * [`UtilizationLanes`] — the same streams for a whole fleet as
+//!   parallel arrays, stepped in one pass (the simulator's drive);
 //! * [`PowerTrace`] — a fixed-interval power series with the statistics
 //!   the evaluation needs (peaks, valleys, MPPU, mismatch segments);
 //! * [`ClusterTraceBuilder`] — a heavy-tailed aggregate datacenter
@@ -38,6 +40,7 @@ mod archetype;
 mod cluster_trace;
 mod generator;
 mod io;
+mod lanes;
 mod solar;
 mod stats;
 mod trace;
@@ -46,6 +49,7 @@ pub use archetype::{Archetype, BurstProfile, PeakClass};
 pub use cluster_trace::ClusterTraceBuilder;
 pub use generator::UtilizationGenerator;
 pub use io::{read_trace_csv, write_trace_csv, ParseTraceError};
+pub use lanes::UtilizationLanes;
 pub use solar::SolarTraceBuilder;
 pub use stats::{autocorrelation, bursts, percentile, summarize, Burst, TraceSummary};
 pub use trace::{MismatchSegment, PowerTrace, SegmentKind};
