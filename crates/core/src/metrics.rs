@@ -266,16 +266,16 @@ impl SimReport {
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| format!("malformed line {line:?}"))?;
-            map.insert(key.trim().to_string(), value.trim().to_string());
+            map.insert(key.trim(), value.trim());
         }
-        let raw = |key: &str| -> Result<String, String> {
+        let raw = |key: &str| -> Result<&str, String> {
             map.get(key)
-                .cloned()
+                .copied()
                 .ok_or_else(|| format!("missing field {key:?}"))
         };
         let bits = |key: &str| -> Result<f64, String> {
             let v = raw(key)?;
-            u64::from_str_radix(&v, 16)
+            u64::from_str_radix(v, 16)
                 .map(f64::from_bits)
                 .map_err(|_| format!("bad float bits for {key:?}: {v:?}"))
         };
@@ -284,7 +284,7 @@ impl SimReport {
             v.parse()
                 .map_err(|_| format!("bad integer for {key:?}: {v:?}"))
         };
-        let battery_lifetime = match raw("battery_lifetime")?.as_str() {
+        let battery_lifetime = match raw("battery_lifetime")? {
             "none" => None,
             v => Some(Seconds::new(
                 u64::from_str_radix(v, 16)
