@@ -22,10 +22,11 @@
 //!   lookup and update;
 //! * [`Simulation`] — the engine state tying cluster, feeds, relays,
 //!   buffers, and controller together at 1-second tick resolution;
-//! * [`SimDriver`] — the discrete-event core ([`event`]) that advances
-//!   a simulation: [`DriverMode::Tick`] reproduces the seed tick loop
-//!   bit-for-bit, [`DriverMode::Event`] leaps provably-quiet spans for
-//!   valley-heavy traces without changing a single reported bit;
+//! * [`SimDriver`] — the driver core ([`event`]) that advances a
+//!   simulation: [`DriverMode::Tick`] reproduces the seed tick loop
+//!   bit-for-bit, [`DriverMode::Event`] runs the leap loop, which
+//!   fast-forwards provably-quiet spans for valley-heavy traces without
+//!   changing a single reported bit;
 //! * [`SimReport`] — the paper's four metrics: energy efficiency,
 //!   server downtime, battery lifetime, and renewable-energy
 //!   utilisation;
@@ -74,8 +75,7 @@ pub use buffers::HybridBuffers;
 pub use config::{ConfigError, SimConfig, SimConfigBuilder};
 pub use controller::{HebController, SlotPlan};
 pub use errors::SimError;
-pub use event::Event as SimEvent;
-pub use event::{DriverMode, EventHandler, EventQueue, Scheduled, SimClock, SimDriver};
+pub use event::{DriverMode, SimClock, SimDriver};
 pub use faults::{
     FaultEvent, FaultInjector, FaultKind, FaultLedger, FaultProfile, FaultSchedule, FaultSpecError,
     FaultTransition,

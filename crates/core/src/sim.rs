@@ -344,11 +344,6 @@ impl Simulation {
         &self.clock
     }
 
-    /// The fault injector (the driver consults its published horizon).
-    pub(crate) fn injector(&self) -> &FaultInjector {
-        &self.injector
-    }
-
     /// Presets both buffer pools to `soc` of their usable window —
     /// experiment setup, e.g. starting a solar day with buffers drained
     /// by the overnight load.
@@ -1706,6 +1701,28 @@ mod tests {
         }
         assert_eq!(quiet.clock().index(), tps);
         assert_eq!(quiet.try_leap(100), 0, "boundary tick must be dense");
+        // A fresh valley leaps; each disturbance below makes it refuse.
+        assert!(steady_quiet_sim().try_leap(100) > 0);
+        // A powered-off server accrues downtime every tick.
+        let mut off = steady_quiet_sim();
+        off.cluster.power_off(0);
+        assert_eq!(off.try_leap(100), 0, "powered-off server");
+        // Powering back on leaves a restart surcharge draining per tick.
+        off.cluster.power_on(0);
+        assert_eq!(off.try_leap(100), 0, "pending restart surcharge");
+        // An SC pool with charge headroom moves energy this tick.
+        let mut half = steady_quiet_sim();
+        for d in half.buffers.sc_pool_mut().devices_mut() {
+            d.set_soc(Ratio::new_clamped(0.5));
+        }
+        assert!(half.buffers.ba_pool().charge_quiescent());
+        assert_eq!(half.try_leap(100), 0, "SC pool at half SoC");
+        // An active fault's continuous effects are queried per tick.
+        let mut faulted =
+            steady_quiet_sim().with_faults(FaultSchedule::parse("blackout@0~600").unwrap());
+        let _ = faulted.injector.poll(faulted.clock.now());
+        assert!(faulted.injector.any_active());
+        assert_eq!(faulted.try_leap(100), 0, "active fault");
     }
 
     #[test]

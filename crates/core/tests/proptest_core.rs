@@ -163,91 +163,3 @@ proptest! {
         }
     }
 }
-
-/// Event-queue ordering determinism: drain order is a pure function of
-/// the (time, insertion) schedule, never of heap internals or the
-/// order unrelated times happen to be inserted in.
-mod event_queue_ordering {
-    use heb_core::{EventQueue, SimEvent};
-    use heb_units::Seconds;
-    use proptest::prelude::*;
-
-    /// A distinguishable payload per insertion index, so tie-order
-    /// violations are visible in the drained sequence.
-    fn payload(index: usize) -> SimEvent {
-        match index % 5 {
-            0 => SimEvent::HorizonEnd,
-            1 => SimEvent::SlotBoundary,
-            2 => SimEvent::FaultTrigger,
-            3 => SimEvent::EsdThreshold,
-            _ => SimEvent::RestoreDeadline,
-        }
-    }
-
-    fn drain(queue: &mut EventQueue) -> Vec<(u64, SimEvent)> {
-        let mut out = Vec::new();
-        while let Some(due) = queue.pop() {
-            out.push((due.time.get().to_bits(), due.event));
-        }
-        out
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn shuffled_insertion_drains_in_the_same_time_order(
-            times in proptest::collection::vec(0.0..10_000.0f64, 1..120),
-            rotation in 0usize..120,
-        ) {
-            let mut shuffled: Vec<(usize, f64)> =
-                times.iter().copied().enumerate().collect();
-            shuffled.rotate_left(rotation % times.len());
-
-            let mut ordered = EventQueue::new();
-            for (i, t) in times.iter().enumerate() {
-                ordered.schedule(Seconds::new(*t), payload(i));
-            }
-            let mut rotated = EventQueue::new();
-            for (i, t) in &shuffled {
-                rotated.schedule(Seconds::new(*t), payload(*i));
-            }
-
-            let drained = drain(&mut ordered);
-            // Times pop in non-decreasing order...
-            let popped: Vec<u64> = drained.iter().map(|(t, _)| *t).collect();
-            let mut sorted: Vec<f64> = times.clone();
-            sorted.sort_by(f64::total_cmp);
-            prop_assert_eq!(
-                popped,
-                sorted.iter().map(|t| t.to_bits()).collect::<Vec<u64>>(),
-                "drain order must be the time-sorted schedule"
-            );
-            // ...and rotating the insertion order permutes only the
-            // payloads of *equal* times (ties follow insertion order),
-            // never the time sequence itself.
-            let rotated_times: Vec<u64> =
-                drain(&mut rotated).iter().map(|(t, _)| *t).collect();
-            prop_assert_eq!(drained.iter().map(|(t, _)| *t).collect::<Vec<u64>>(), rotated_times);
-        }
-
-        #[test]
-        fn identical_schedules_drain_identically(
-            times in proptest::collection::vec(0.0..100.0f64, 1..120),
-        ) {
-            // Coarse quantisation manufactures plenty of exact ties.
-            let quantised: Vec<f64> = times.iter().map(|t| t.round()).collect();
-            let mut a = EventQueue::new();
-            let mut b = EventQueue::new();
-            for (i, t) in quantised.iter().enumerate() {
-                a.schedule(Seconds::new(*t), payload(i));
-                b.schedule(Seconds::new(*t), payload(i));
-            }
-            prop_assert_eq!(
-                drain(&mut a),
-                drain(&mut b),
-                "same schedule must drain identically, payloads included"
-            );
-        }
-    }
-}
