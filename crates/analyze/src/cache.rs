@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 /// Bump when the serialization format or rule semantics change: old
 /// entries become unreachable (different keys) instead of misparsed.
-const CACHE_VERSION: &str = "heb-analyze-cache-v2";
+const CACHE_VERSION: &str = "heb-analyze-cache-v3";
 
 /// A directory of content-addressed [`FileAnalysis`] entries.
 #[derive(Debug)]

@@ -12,7 +12,6 @@
 
 use crate::diagnostics::Diagnostic;
 use crate::rules::{DirectiveKind, DirectiveRec, FileAnalysis};
-use std::collections::BTreeSet;
 
 /// One call-shaped token run inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,71 +41,11 @@ pub struct FnDef {
     pub taints: Vec<(String, usize)>,
 }
 
-/// One `impl` block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImplDef {
-    /// Trait name (last path segment) for trait impls, `None` for
-    /// inherent impls.
-    pub trait_name: Option<String>,
-    /// The implementing type's name (first path segment).
-    pub type_name: String,
-    /// 0-based line of the `impl` keyword.
-    pub line: usize,
-    /// Names of methods defined directly in the block.
-    pub fns: BTreeSet<String>,
-    /// Whether it sits inside a `#[cfg(test)]` span.
-    pub in_test: bool,
-}
-
-/// One `enum` definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnumDef {
-    /// The enum name.
-    pub name: String,
-    /// 0-based line of the `enum` keyword.
-    pub line: usize,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
-    /// Whether it sits inside a `#[cfg(test)]` span.
-    pub in_test: bool,
-}
-
-/// One `match` expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatchDef {
-    /// 0-based line of the `match` keyword.
-    pub line: usize,
-    /// `Head::Variant` identifier pairs seen in arm patterns.
-    pub paths: Vec<(String, String)>,
-    /// 0-based line of a catch-all arm (`_` or a lone lowercase
-    /// binding), if any.
-    pub wildcard_line: Option<usize>,
-    /// Whether it sits inside a `#[cfg(test)]` span.
-    pub in_test: bool,
-}
-
-/// One `use` declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseDecl {
-    /// The imported path, tokens joined (`std::collections::{…}`).
-    pub path: String,
-    /// 0-based line.
-    pub line: usize,
-}
-
 /// Everything structural the semantic rules need from one file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileIndex {
     /// Function definitions (methods included).
     pub fns: Vec<FnDef>,
-    /// `impl` blocks.
-    pub impls: Vec<ImplDef>,
-    /// `enum` definitions.
-    pub enums: Vec<EnumDef>,
-    /// `match` expressions.
-    pub matches: Vec<MatchDef>,
-    /// `use` declarations.
-    pub uses: Vec<UseDecl>,
 }
 
 /// Fills each function's `taints` with HEB007 taint-token hits found
@@ -208,45 +147,6 @@ pub fn encode(fa: &FileAnalysis) -> String {
             out.push_str(&format!("T\t{line}\t{}\n", esc(token)));
         }
     }
-    for im in &idx.impls {
-        out.push_str(&format!(
-            "I\t{}\t{}\t{}\t{}\t{}\n",
-            im.line,
-            flag(im.in_test),
-            im.trait_name.as_deref().map_or(String::from("-"), esc),
-            esc(&im.type_name),
-            im.fns.iter().map(|s| esc(s)).collect::<Vec<_>>().join(",")
-        ));
-    }
-    for e in &idx.enums {
-        out.push_str(&format!(
-            "E\t{}\t{}\t{}\t{}\n",
-            e.line,
-            flag(e.in_test),
-            esc(&e.name),
-            e.variants
-                .iter()
-                .map(|s| esc(s))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-    }
-    for m in &idx.matches {
-        out.push_str(&format!(
-            "M\t{}\t{}\t{}\t{}\n",
-            m.line,
-            flag(m.in_test),
-            m.wildcard_line.map_or(String::from("-"), |l| l.to_string()),
-            m.paths
-                .iter()
-                .map(|(h, v)| format!("{}::{}", esc(h), esc(v)))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
-    }
-    for u in &idx.uses {
-        out.push_str(&format!("U\t{}\t{}\n", u.line, esc(&u.path)));
-    }
     out
 }
 
@@ -316,80 +216,6 @@ pub fn decode(text: &str, path: &str) -> Option<FileAnalysis> {
                 let line_no: usize = parts.next()?.parse().ok()?;
                 let token = unesc(parts.next()?);
                 fa.index.fns.last_mut()?.taints.push((token, line_no));
-            }
-            "I" => {
-                let line_no: usize = parts.next()?.parse().ok()?;
-                let in_test = parts.next()? == "1";
-                let trait_raw = parts.next()?;
-                let trait_name = if trait_raw == "-" {
-                    None
-                } else {
-                    Some(unesc(trait_raw))
-                };
-                let type_name = unesc(parts.next()?);
-                let fns = parts
-                    .next()?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(unesc)
-                    .collect();
-                fa.index.impls.push(ImplDef {
-                    trait_name,
-                    type_name,
-                    line: line_no,
-                    fns,
-                    in_test,
-                });
-            }
-            "E" => {
-                let line_no: usize = parts.next()?.parse().ok()?;
-                let in_test = parts.next()? == "1";
-                let name = unesc(parts.next()?);
-                let variants = parts
-                    .next()?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(unesc)
-                    .collect();
-                fa.index.enums.push(EnumDef {
-                    name,
-                    line: line_no,
-                    variants,
-                    in_test,
-                });
-            }
-            "M" => {
-                let line_no: usize = parts.next()?.parse().ok()?;
-                let in_test = parts.next()? == "1";
-                let wild = parts.next()?;
-                let wildcard_line = if wild == "-" {
-                    None
-                } else {
-                    Some(wild.parse().ok()?)
-                };
-                let paths = parts
-                    .next()?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|pair| {
-                        let (h, v) = pair.split_once("::")?;
-                        Some((unesc(h), unesc(v)))
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-                fa.index.matches.push(MatchDef {
-                    line: line_no,
-                    paths,
-                    wildcard_line,
-                    in_test,
-                });
-            }
-            "U" => {
-                let line_no: usize = parts.next()?.parse().ok()?;
-                let path_str = unesc(parts.next()?);
-                fa.index.uses.push(UseDecl {
-                    path: path_str,
-                    line: line_no,
-                });
             }
             "" => {}
             _ => return None,

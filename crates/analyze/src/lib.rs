@@ -16,9 +16,9 @@
 //! a lexical pass ([`lexer`]) for the token-family rules HEB001–HEB006,
 //! and a semantic pass — a token-tree parser ([`parser`]) building a
 //! per-file item index ([`index`]) that feeds a workspace symbol table
-//! and conservative call-reachability graph — for HEB007–HEB009, where
-//! the invariant spans files (hash-path taint, event-handler
-//! completeness).
+//! and conservative call-reachability graph — for HEB007 and HEB009,
+//! where the invariant needs function bodies and calls (hash-path
+//! taint across files, parallel float reductions within one).
 //!
 //! The analyzer is production-shaped: per-file analysis runs in
 //! parallel with byte-identical output at any thread count

@@ -1,10 +1,9 @@
 //! A token-tree parser over the scrubbed code channel.
 //!
-//! The lexical rules only need per-line token scans, but HEB007–HEB009
-//! need *structure*: which functions exist, what they call, which
-//! `impl` blocks define which methods, which `match` expressions have
-//! which arms. This module builds that structure without `syn` (the
-//! environment is offline): [`tokenize`] splits the scrubbed code into
+//! The lexical rules only need per-line token scans, but HEB007 and
+//! HEB009 need *structure*: which functions exist, where their bodies
+//! run, and what they call. This module builds that structure without
+//! `syn` (the environment is offline): [`tokenize`] splits the scrubbed code into
 //! identifier/punctuation tokens, and [`parse_index`] walks the token
 //! stream with a precomputed delimiter-match table to extract an
 //! [`FileIndex`](crate::index::FileIndex).
@@ -14,7 +13,7 @@
 //! to over-approximate everywhere else (see DESIGN §8 for the
 //! documented limits).
 
-use crate::index::{Call, EnumDef, FileIndex, FnDef, ImplDef, MatchDef, UseDecl};
+use crate::index::{Call, FileIndex, FnDef};
 use std::collections::BTreeSet;
 
 /// One token: an identifier/number or a (possibly two-character)
@@ -134,21 +133,19 @@ impl Parser<'_> {
         self.test_lines.contains(&line)
     }
 
-    /// The main walk. Deliberately descends *into* item bodies (the
-    /// branches return a position just inside the body) so nested
-    /// items — matches inside fns, fns inside impls — are found by the
-    /// same loop. Enum and use bodies are the exception: they may
+    /// The main walk. Deliberately descends *into* item bodies (a
+    /// `fn` returns a position just inside its body) so nested items —
+    /// fns inside impls, traits, modules, or other fns — are found by
+    /// the same loop. Enum and use bodies are the exception: they may
     /// contain `fn`-pointer types and path tokens that would misparse
     /// as items, so those are skipped whole.
     fn scan(&mut self, mut i: usize, end: usize) {
         while i < end {
             match self.text(i) {
                 "#" => i = self.attr(i),
-                "use" => i = self.use_decl(i, end),
+                "use" => i = self.skip_use(i, end),
                 "fn" if is_ident(self.text(i + 1)) => i = self.fn_def(i, end),
-                "impl" => i = self.impl_block(i, end),
-                "enum" if is_ident(self.text(i + 1)) => i = self.enum_def(i, end),
-                "match" => i = self.match_expr(i, end),
+                "enum" if is_ident(self.text(i + 1)) => i = self.skip_enum(i, end),
                 _ => i += 1,
             }
         }
@@ -167,16 +164,12 @@ impl Parser<'_> {
         self.close[bracket] + 1
     }
 
-    /// `use a::b::{c, d};` — recorded as one path string.
-    fn use_decl(&mut self, i: usize, end: usize) -> usize {
-        let line = self.toks[i].line;
-        let mut path = String::new();
+    /// `use a::b::{c, d};` — returns the position after the `;`.
+    fn skip_use(&self, i: usize, end: usize) -> usize {
         let mut j = i + 1;
         while j < end && self.text(j) != ";" {
-            path.push_str(self.text(j));
             j += 1;
         }
-        self.out.uses.push(UseDecl { path, line });
         j + 1
     }
 
@@ -269,94 +262,10 @@ impl Parser<'_> {
         end
     }
 
-    /// `impl<…> Trait for Type {…}` / `impl Type {…}`: the trait name
-    /// is the last path segment before `for` (outside generics), the
-    /// type name the first segment after it.
-    fn impl_block(&mut self, i: usize, end: usize) -> usize {
-        let line = self.toks[i].line;
-        let mut j = i + 1;
-        if self.text(j) == "<" {
-            j = self.skip_angles(j, end);
-        }
-        let mut first_path: Vec<String> = Vec::new();
-        let mut second_path: Vec<String> = Vec::new();
-        let mut saw_for = false;
-        let mut angle_depth = 0i32;
-        while j < end {
-            match self.text(j) {
-                "{" => break,
-                "where" if angle_depth == 0 => break,
-                "<" => angle_depth += 1,
-                ">" => angle_depth -= 1,
-                "for" if angle_depth == 0 => saw_for = true,
-                t if is_ident(t) && angle_depth == 0 => {
-                    if saw_for {
-                        second_path.push(t.to_string());
-                    } else {
-                        first_path.push(t.to_string());
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        if j >= end || self.text(j) != "{" {
-            return j; // `impl Trait for Type;` or malformed — nothing to index
-        }
-        let (open, close) = (j, self.close[j]);
-        // Method names at the impl body's top level.
-        let mut fns = BTreeSet::new();
-        let mut k = open + 1;
-        while k < close {
-            match self.text(k) {
-                "fn" if is_ident(self.text(k + 1)) => {
-                    fns.insert(self.text(k + 1).to_string());
-                    // Skip past the method body so nested closures or
-                    // blocks are not mistaken for more methods.
-                    let mut b = k + 2;
-                    while b < close {
-                        match self.text(b) {
-                            "(" | "[" => b = self.close[b] + 1,
-                            "{" => {
-                                b = self.close[b] + 1;
-                                break;
-                            }
-                            ";" => {
-                                b += 1;
-                                break;
-                            }
-                            _ => b += 1,
-                        }
-                    }
-                    k = b;
-                }
-                "(" | "[" | "{" => k = self.close[k] + 1,
-                _ => k += 1,
-            }
-        }
-        let (trait_name, type_name) = if saw_for {
-            (
-                first_path.last().cloned(),
-                second_path.first().cloned().unwrap_or_default(),
-            )
-        } else {
-            (None, first_path.last().cloned().unwrap_or_default())
-        };
-        self.out.impls.push(ImplDef {
-            trait_name,
-            type_name,
-            line,
-            fns,
-            in_test: self.in_test(line),
-        });
-        open + 1 // descend into the body: methods become FnDefs
-    }
-
-    /// `enum Name {…}`: unit/tuple/struct variants; the body is
-    /// skipped whole (field types may contain `fn`-pointer tokens).
-    fn enum_def(&mut self, i: usize, end: usize) -> usize {
-        let line = self.toks[i].line;
-        let name = self.text(i + 1).to_string();
+    /// `enum Name {…}`: returns the position after the body, which is
+    /// skipped whole (variant field types may contain `fn`-pointer
+    /// tokens).
+    fn skip_enum(&self, i: usize, end: usize) -> usize {
         let mut j = i + 2;
         while j < end && self.text(j) != "{" && self.text(j) != ";" {
             if self.text(j) == "<" {
@@ -368,126 +277,7 @@ impl Parser<'_> {
         if j >= end || self.text(j) != "{" {
             return j + 1;
         }
-        let (open, close) = (j, self.close[j]);
-        let mut variants = Vec::new();
-        let mut k = open + 1;
-        while k < close {
-            match self.text(k) {
-                "#" => {
-                    // Variant attribute: skip it.
-                    let b = if self.text(k + 1) == "[" { k + 1 } else { k };
-                    k = if self.text(b) == "[" {
-                        self.close[b] + 1
-                    } else {
-                        k + 1
-                    };
-                }
-                t if is_ident(t) => {
-                    variants.push(t.to_string());
-                    // Skip the variant payload / discriminant to the
-                    // next top-level comma.
-                    while k < close && self.text(k) != "," {
-                        match self.text(k) {
-                            "(" | "[" | "{" => k = self.close[k] + 1,
-                            _ => k += 1,
-                        }
-                    }
-                    k += 1;
-                }
-                _ => k += 1,
-            }
-        }
-        self.out.enums.push(EnumDef {
-            name,
-            line,
-            variants,
-            in_test: self.in_test(line),
-        });
-        close + 1
-    }
-
-    /// `match scrutinee { arms }`: records `Head::Variant` path pairs
-    /// seen in arm patterns and the line of a catch-all arm (`_` or a
-    /// lone lowercase binding), if any.
-    fn match_expr(&mut self, i: usize, end: usize) -> usize {
-        let line = self.toks[i].line;
-        // Find the arm block: first top-level `{` after the scrutinee.
-        let mut j = i + 1;
-        while j < end {
-            match self.text(j) {
-                "(" | "[" => j = self.close[j] + 1,
-                "{" => break,
-                ";" => return j, // `match` with no block: malformed
-                _ => j += 1,
-            }
-        }
-        if j >= end {
-            return end;
-        }
-        let (open, close) = (j, self.close[j]);
-        let mut paths = Vec::new();
-        let mut wildcard_line = None;
-        let mut k = open + 1;
-        while k < close {
-            // Pattern: tokens up to the arm's `=>` (patterns cannot
-            // contain `=>`, so a literal scan is safe).
-            let pat_start = k;
-            while k < close && self.text(k) != "=>" {
-                k += 1;
-            }
-            if k >= close {
-                break;
-            }
-            let mut pat_end = k; // exclusive; trim a guard if present
-            for g in pat_start..k {
-                if self.text(g) == "if" {
-                    pat_end = g;
-                    break;
-                }
-            }
-            for p in pat_start..pat_end {
-                if self.text(p) == "::" && is_ident(self.text(p.wrapping_sub(1))) && p >= 1 {
-                    let (head, variant) = (self.text(p - 1), self.text(p + 1));
-                    if is_ident(variant) {
-                        paths.push((head.to_string(), variant.to_string()));
-                    }
-                }
-            }
-            if pat_end == pat_start + 1 {
-                let only = self.text(pat_start);
-                let catch_all = only == "_"
-                    || (is_ident(only)
-                        && only.starts_with(|c: char| c.is_lowercase())
-                        && !KEYWORDS.contains(&only));
-                if catch_all && wildcard_line.is_none() {
-                    wildcard_line = Some(self.toks[pat_start].line);
-                }
-            }
-            // Skip the arm expression: a brace block, or tokens to the
-            // next top-level comma.
-            k += 1; // past `=>`
-            if self.text(k) == "{" {
-                k = self.close[k] + 1;
-                if self.text(k) == "," {
-                    k += 1;
-                }
-            } else {
-                while k < close && self.text(k) != "," {
-                    match self.text(k) {
-                        "(" | "[" | "{" => k = self.close[k] + 1,
-                        _ => k += 1,
-                    }
-                }
-                k += 1;
-            }
-        }
-        self.out.matches.push(MatchDef {
-            line,
-            paths,
-            wildcard_line,
-            in_test: self.in_test(line),
-        });
-        open + 1 // descend: nested matches inside arm bodies
+        self.close[j] + 1
     }
 }
 
@@ -525,81 +315,27 @@ mod tests {
     }
 
     #[test]
-    fn impls_record_trait_type_and_methods() {
+    fn impl_methods_are_indexed_as_fns() {
         let idx = parse(
-            "impl<D: Device> EventHandler for Bank<D> {\n    fn next_activity(&self) {}\n    \
-             fn on_event(&mut self) {}\n}\nimpl Plain {\n    fn new() -> Self { Plain }\n}\n",
+            "impl<F: Fn(u32) -> u32> Hook for Wrap<F> {\n    fn fire(&self) { self.run(); }\n    \
+             fn idle(&mut self) {}\n}\nimpl Plain {\n    fn new() -> Self { Plain }\n}\n",
         );
-        assert_eq!(idx.impls.len(), 2);
-        let h = &idx.impls[0];
-        assert_eq!(h.trait_name.as_deref(), Some("EventHandler"));
-        assert_eq!(h.type_name, "Bank");
-        assert!(h.fns.contains("next_activity") && h.fns.contains("on_event"));
-        let p = &idx.impls[1];
-        assert_eq!(p.trait_name, None);
-        assert_eq!(p.type_name, "Plain");
-        assert!(p.fns.contains("new"));
-        // Methods are also indexed as fns in their own right.
-        assert!(idx.fns.iter().any(|f| f.name == "next_activity"));
+        let names: Vec<&str> = idx.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["fire", "idle", "new"]);
+        assert_eq!(idx.fns[0].calls[0].name, "run");
+        assert_eq!(idx.fns[0].body, (1, 1));
     }
 
     #[test]
-    fn enums_record_variants_and_skip_payloads() {
-        let idx = parse(
-            "pub enum Event {\n    Tick,\n    SlotBoundary,\n    Fault(FaultKind),\n    \
-             Stamp { at: u64 },\n}\n",
-        );
-        assert_eq!(idx.enums.len(), 1);
-        assert_eq!(
-            idx.enums[0].variants,
-            ["Tick", "SlotBoundary", "Fault", "Stamp"]
-        );
-    }
-
-    #[test]
-    fn match_arms_record_paths_and_wildcards() {
-        let idx = parse(
-            "fn f(e: Event) -> u32 {\n    match e {\n        Event::Tick => 1,\n        \
-             Event::SlotBoundary => { 2 }\n        _ => 0,\n    }\n}\n",
-        );
-        assert_eq!(idx.matches.len(), 1);
-        let m = &idx.matches[0];
-        assert!(m.paths.contains(&("Event".to_string(), "Tick".to_string())));
-        assert_eq!(m.wildcard_line, Some(4));
-    }
-
-    #[test]
-    fn lone_lowercase_binding_is_a_catch_all_but_literals_are_not() {
-        let idx = parse("fn f(x: u8) -> u8 {\n    match x {\n        0 => 1,\n        other => other,\n    }\n}\n");
-        assert_eq!(idx.matches[0].wildcard_line, Some(3));
-        let idx = parse(
-            "fn f(x: B) -> u8 {\n    match x {\n        B::T => 1,\n        B::F => 0,\n    }\n}\n",
-        );
-        assert_eq!(idx.matches[0].wildcard_line, None);
-    }
-
-    #[test]
-    fn guards_do_not_hide_wildcards_and_nested_matches_are_found() {
-        let idx = parse(
-            "fn f(x: u8, y: u8) -> u8 {\n    match x {\n        _ if y > 0 => match y {\n            \
-             E::A => 1,\n            _ => 2,\n        },\n        _ => 0,\n    }\n}\n",
-        );
-        assert_eq!(idx.matches.len(), 2, "{:?}", idx.matches);
-        assert!(idx.matches.iter().all(|m| m.wildcard_line.is_some()));
-    }
-
-    #[test]
-    fn use_decls_are_joined_paths() {
-        let idx = parse("use std::collections::{BTreeMap, BTreeSet};\nuse heb_core::Event;\n");
-        assert_eq!(idx.uses.len(), 2);
-        assert!(idx.uses[0].path.starts_with("std::collections::{"));
-        assert_eq!(idx.uses[1].path, "heb_core::Event");
+    fn use_decls_are_skipped_whole() {
+        let idx = parse("use std::collections::{BTreeMap, BTreeSet};\nfn real() { go(); }\n");
+        assert_eq!(idx.fns.len(), 1);
+        assert_eq!(idx.fns[0].name, "real");
     }
 
     #[test]
     fn fn_pointer_types_in_enums_do_not_misparse() {
         let idx = parse("enum E {\n    F(fn(u32) -> u32),\n    G,\n}\nfn real() {}\n");
-        assert_eq!(idx.enums[0].variants, ["F", "G"]);
         assert_eq!(idx.fns.len(), 1);
         assert_eq!(idx.fns[0].name, "real");
     }

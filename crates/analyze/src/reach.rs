@@ -1,6 +1,5 @@
 //! The workspace symbol table, the conservative call-reachability
-//! graph, and the cross-file rules built on them (HEB007 and HEB008's
-//! wildcard check).
+//! graph, and the cross-file rule built on them (HEB007).
 //!
 //! Name resolution is deliberately conservative (documented in DESIGN
 //! §8): a call resolves to every *same-file* function of that name
@@ -24,8 +23,7 @@
 
 use crate::diagnostics::Diagnostic;
 use crate::rules::{
-    crate_class, CrateClass, FileAnalysis, FileContext, Role, CLOCK_FILES, HASH_ROOT_FILES,
-    HASH_ROOT_FNS,
+    crate_class, CrateClass, FileAnalysis, FileContext, Role, HASH_ROOT_FILES, HASH_ROOT_FNS,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -45,7 +43,6 @@ pub(crate) fn cross_file(
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     heb007_hash_taint(files, analyses, &mut out);
-    heb008_wildcards(files, analyses, &mut out);
     out
 }
 
@@ -176,54 +173,4 @@ fn witness_path(
     }
     names.reverse();
     names.join(" -> ")
-}
-
-/// HEB008 (wildcard half): in Sim-crate library code, a `match` whose
-/// arms name `Event::…` variants of the event core's `Event` enum must
-/// not have a catch-all arm — a new variant must force every dispatch
-/// site to decide.
-fn heb008_wildcards(
-    files: &[(String, FileContext)],
-    analyses: &[FileAnalysis],
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut variants: BTreeSet<&str> = BTreeSet::new();
-    for (fi, (_, ctx)) in files.iter().enumerate() {
-        if CLOCK_FILES.contains(&ctx.path.as_str()) {
-            for e in &analyses[fi].index.enums {
-                if e.name == "Event" && !e.in_test {
-                    variants.extend(e.variants.iter().map(String::as_str));
-                }
-            }
-        }
-    }
-    if variants.is_empty() {
-        return;
-    }
-    for (fi, (source, ctx)) in files.iter().enumerate() {
-        if ctx.role != Role::Lib || crate_class(&ctx.crate_name) != CrateClass::Sim {
-            continue;
-        }
-        for m in &analyses[fi].index.matches {
-            if m.in_test {
-                continue;
-            }
-            let on_event = m
-                .paths
-                .iter()
-                .any(|(head, variant)| head == "Event" && variants.contains(variant.as_str()));
-            if let (true, Some(wild)) = (on_event, m.wildcard_line) {
-                out.push(Diagnostic {
-                    rule: "HEB008",
-                    path: ctx.path.clone(),
-                    line: wild + 1,
-                    message: "catch-all arm on a `heb_core::event::Event` match: every \
-                              variant must be handled explicitly so that adding an event \
-                              fails the gate until each dispatch site decides"
-                        .to_string(),
-                    snippet: snippet(source, wild),
-                });
-            }
-        }
-    }
 }

@@ -9,8 +9,8 @@ use heb_analyze::{analyze_files, diagnostics, FileContext};
 use proptest::prelude::*;
 
 /// Synthetic source templates spanning lexical rules (HEB002/HEB003),
-/// suppressions (used and unused), and the cross-file HEB008 wildcard
-/// check — so the property exercises errors *and* warnings.
+/// suppressions (used and unused), and the cross-file HEB007 pass — so
+/// the property exercises errors *and* warnings.
 fn template(kind: usize, i: usize) -> String {
     match kind % 6 {
         0 => format!("pub fn ok_{i}(x: u32) -> u32 {{ x + {i} }}\n"),
@@ -22,30 +22,24 @@ fn template(kind: usize, i: usize) -> String {
         4 => "// heb-analyze: allow(HEB001, fixture: deliberately unused)\n\
               pub fn q() {}\n"
             .to_string(),
-        _ => format!(
-            "pub fn disp_{i}(e: &Event) -> u32 {{\n    match e {{\n        \
-             Event::Tick => 1,\n        _ => 0,\n    }}\n}}\n"
-        ),
+        // Reached from the hash root only while at most two files
+        // define `salt` (the ambiguity cut-off), so the findings depend
+        // on how many generated files share the name, never on order.
+        _ => "pub fn salt() -> u64 {\n    std::env::args().count() as u64\n}\n".to_string(),
     }
 }
 
-/// Fixed companion units that arm the cross-file rules: the event core
-/// (HEB008 variants) and a tainted hash path (HEB007), whose finding
-/// comes out of the cross-file reachability pass.
+/// The fixed companion unit that arms HEB007: a hash root with a
+/// tainted same-file callee, and a call to `salt` that the cross-file
+/// reachability pass resolves into the generated files.
 fn static_units() -> Vec<(String, FileContext)> {
-    vec![
-        (
-            "pub enum Event { Tick, SlotBoundary }\n".to_string(),
-            FileContext::lib("core", "crates/core/src/event.rs"),
-        ),
-        (
-            "pub struct Scenario;\nimpl Scenario {\n    pub fn content_hash(&self) -> u64 {\n        \
-             leak()\n    }\n}\nfn leak() -> u64 {\n    let h = \
-             heb_telemetry::RecorderHandle::current();\n    h.id()\n}\n"
-                .to_string(),
-            FileContext::lib("core", "crates/core/src/scenario.rs"),
-        ),
-    ]
+    vec![(
+        "pub struct Scenario;\nimpl Scenario {\n    pub fn content_hash(&self) -> u64 {\n        \
+         leak() + salt()\n    }\n}\nfn leak() -> u64 {\n    let h = \
+         heb_telemetry::RecorderHandle::current();\n    h.id()\n}\n"
+            .to_string(),
+        FileContext::lib("core", "crates/core/src/scenario.rs"),
+    )]
 }
 
 /// Fisher–Yates with an inline xorshift, so the shuffle itself is a
@@ -81,6 +75,13 @@ proptest! {
         // Reference: serial, in declaration order.
         let (base_err, base_warn) = analyze_files(&units, 1);
         prop_assert!(!base_err.is_empty(), "templates must seed findings");
+        // The cross-file edge is live: `salt` is followed exactly while
+        // one or two generated files define it.
+        let salts = kinds.iter().filter(|&&k| k == 5).count();
+        let crossed = base_err
+            .iter()
+            .any(|d| d.rule == "HEB007" && d.path.contains("/gen_"));
+        prop_assert_eq!(crossed, (1..=2).contains(&salts));
 
         let mut shuffled = units.clone();
         shuffle(&mut shuffled, shuffle_seed);

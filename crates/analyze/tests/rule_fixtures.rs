@@ -181,77 +181,6 @@ fn heb007_roots_are_scoped_to_the_hash_root_file() {
 }
 
 #[test]
-fn heb008_fires_on_wildcard_arm_and_incomplete_handler() {
-    let u = units(&[
-        (
-            "heb008_event_core.rs",
-            FileContext::lib("core", "crates/core/src/event.rs"),
-        ),
-        (
-            "heb008_violation.rs",
-            FileContext::lib("core", "crates/core/src/dispatch.rs"),
-        ),
-    ]);
-    let (errors, warnings) = analyze_files(&u, 1);
-    assert!(warnings.is_empty(), "{warnings:?}");
-    assert_eq!(errors.len(), 2, "{errors:?}");
-    assert!(
-        errors
-            .iter()
-            .any(|d| d.rule == "HEB008" && d.line == 6 && d.message.contains("next_activity")),
-        "handler missing next_activity: {errors:?}"
-    );
-    assert!(
-        errors
-            .iter()
-            .any(|d| d.rule == "HEB008" && d.line == 14 && d.message.contains("catch-all")),
-        "wildcard arm on an Event match: {errors:?}"
-    );
-}
-
-#[test]
-fn heb008_silent_on_exhaustive_match_and_other_enums() {
-    let u = units(&[
-        (
-            "heb008_event_core.rs",
-            FileContext::lib("core", "crates/core/src/event.rs"),
-        ),
-        (
-            "heb008_clean.rs",
-            FileContext::lib("core", "crates/core/src/dispatch.rs"),
-        ),
-    ]);
-    let (errors, _) = analyze_files(&u, 1);
-    assert_eq!(
-        errors,
-        vec![],
-        "exhaustive Event match and FaultKind wildcard are both fine"
-    );
-}
-
-#[test]
-fn heb008_wildcard_check_is_scoped_to_sim_crates() {
-    // The same wildcard in an Infra crate is not event-dispatch code.
-    let u = units(&[
-        (
-            "heb008_event_core.rs",
-            FileContext::lib("core", "crates/core/src/event.rs"),
-        ),
-        (
-            "heb008_violation.rs",
-            FileContext::lib("telemetry", "crates/telemetry/src/dispatch.rs"),
-        ),
-    ]);
-    let (errors, _) = analyze_files(&u, 1);
-    // The handler-completeness half still applies (any non-harness
-    // crate can implement EventHandler); the wildcard half must not.
-    assert!(
-        errors.iter().all(|d| d.line != 14),
-        "wildcard must not fire outside Sim crates: {errors:?}"
-    );
-}
-
-#[test]
 fn heb009_fires_on_parallel_float_fold_fixture() {
     let u = units(&[(
         "heb009_violation.rs",
