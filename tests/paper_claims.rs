@@ -34,7 +34,12 @@ fn claim_fig1_underprovisioning_raises_mppu() {
 fn claim_fig3_efficiency_characterisation() {
     let rs = efficiency_characterization(&[1, 4]);
     for r in &rs {
-        assert!(r.sc_efficiency.get() >= 0.85);
+        let sc = r.sc_efficiency.get();
+        assert!(
+            (0.90..=0.95).contains(&sc),
+            "SC round trip {sc} at {} server(s) outside the paper's 90-95 %",
+            r.servers
+        );
         assert!(r.battery_one_shot.get() < 0.80);
         assert!(r.battery_with_recovery >= r.battery_one_shot);
     }
@@ -140,7 +145,9 @@ fn claim_fig12b_downtime_ordering() {
 }
 
 /// Figure 12(c): SC-preferential schemes cut battery wear by a large
-/// factor.
+/// factor — at least the paper's 4.7×. Ours runs larger (7.4× in the
+/// 8 h table); the 10× ceiling keeps that gap from growing unnoticed
+/// (EXPERIMENTS.md, "Magnitude gaps").
 #[test]
 fn claim_fig12c_battery_life_extension() {
     let base = SimConfig::prototype();
@@ -149,8 +156,8 @@ fn claim_fig12c_battery_life_extension() {
     let improvement =
         find(PolicyKind::HebD).lifetime_improvement_vs(find(PolicyKind::BaOnly), 10.0);
     assert!(
-        improvement > 2.0,
-        "HEB-D wear improvement {improvement} should be well above 2x"
+        (4.7..=10.0).contains(&improvement),
+        "HEB-D wear improvement {improvement} outside 4.7x-10x"
     );
 }
 
