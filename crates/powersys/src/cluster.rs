@@ -12,6 +12,12 @@
 //! order, it writes each utilization and its cached draw and adds the
 //! draw into the rack's demand partial sum, so the demand total that
 //! follows folds only the per-rack sums.
+//!
+//! A [`Cluster::generation`] counter moves on every mutation that can
+//! change a utilization, a draw or a power state. A caller that
+//! records the generation after a drive or a meter sample knows, while
+//! it is unchanged, that repeating the pass would rewrite the values
+//! already there.
 
 use crate::agg::{AggTree, RACK_FANOUT};
 use crate::server::{FrequencyLevel, PowerState, Server};
@@ -34,10 +40,12 @@ use heb_units::{Joules, Ratio, Seconds, Watts};
 pub struct Cluster {
     fleet: ServerArrays,
     agg: AggTree,
+    generation: u64,
 }
 
 /// Equality is over simulated state only; the aggregation tree is an
-/// acceleration cache whose dirtiness depends on query history.
+/// acceleration cache whose dirtiness depends on query history, and
+/// the generation counts mutation calls, not state.
 impl PartialEq for Cluster {
     fn eq(&self, other: &Self) -> bool {
         self.fleet == other.fleet
@@ -48,18 +56,41 @@ impl Cluster {
     /// Creates a cluster from pre-built servers (ids are positional).
     #[must_use]
     pub fn new(servers: Vec<Server>) -> Self {
-        let fleet = ServerArrays::from_servers(&servers);
-        let agg = AggTree::new(fleet.len());
-        Self { fleet, agg }
+        Self::from_fleet(ServerArrays::from_servers(&servers))
     }
 
     /// A cluster of `n` prototype-spec servers with ids `0..n`.
     #[must_use]
     pub fn prototype(n: usize) -> Self {
+        Self::from_fleet(ServerArrays::prototype(n))
+    }
+
+    /// Prototype-spec servers with ids `0..frequency.len()`, server `i`
+    /// at governor level `frequency[i]`: the same cluster as
+    /// [`Cluster::prototype`] followed by a [`Cluster::set_frequency`]
+    /// per server, built in one pass.
+    #[must_use]
+    pub fn prototype_with_frequencies(frequency: Vec<FrequencyLevel>) -> Self {
+        Self::from_fleet(ServerArrays::prototype_with_frequencies(frequency))
+    }
+
+    fn from_fleet(fleet: ServerArrays) -> Self {
+        let agg = AggTree::new(fleet.len());
         Self {
-            fleet: ServerArrays::prototype(n),
-            agg: AggTree::new(n),
+            fleet,
+            agg,
+            generation: 0,
         }
+    }
+
+    /// The mutation counter: it moves on every call that can change a
+    /// utilization, a draw or a power state (the workload drive,
+    /// [`Cluster::set_utilization`], [`Cluster::set_frequency`],
+    /// [`Cluster::power_off`], [`Cluster::power_on`], and so shedding
+    /// and restoring), and on nothing else. Ticks and stamps leave it.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Number of servers (running or not).
@@ -139,6 +170,7 @@ impl Cluster {
     /// sum; extra values are ignored, and servers past the stream's end
     /// keep their utilization.
     pub fn set_utilizations_with(&mut self, utilizations: impl IntoIterator<Item = Ratio>) {
+        self.generation += 1;
         let mut utilizations = utilizations.into_iter();
         let n = self.fleet.len();
         for rack in 0..self.agg.racks() {
@@ -156,6 +188,7 @@ impl Cluster {
     ///
     /// Panics if `idx` is out of range.
     pub fn set_utilization(&mut self, idx: usize, utilization: Ratio) {
+        self.generation += 1;
         if self.fleet.set_utilization(idx, utilization) {
             self.agg.touch_demand(idx);
         }
@@ -167,6 +200,7 @@ impl Cluster {
     ///
     /// Panics if `idx` is out of range.
     pub fn set_frequency(&mut self, idx: usize, frequency: FrequencyLevel) {
+        self.generation += 1;
         if self.fleet.set_frequency(idx, frequency) {
             self.agg.touch_demand(idx);
         }
@@ -216,12 +250,12 @@ impl Cluster {
 
     /// Stamps every server as active at `now` without running a tick —
     /// the bulk form of the per-server stamp for quiet-span
-    /// fast-forwarding.
+    /// fast-forwarding, and for a tick of a rack that is
+    /// [`Cluster::all_running_steady`]. O(racks): the stamp is held
+    /// pending (see [`ServerArrays::mark_all_active`]).
     pub fn mark_all_active(&mut self, now: Seconds) {
         self.agg.touch_all_lru();
-        for i in 0..self.fleet.len() {
-            self.fleet.mark_active(i, now);
-        }
+        self.fleet.mark_all_active(now);
     }
 
     /// Aggregate downtime across all servers (the paper's *server
@@ -302,6 +336,7 @@ impl Cluster {
     /// Panics if `idx` is out of range.
     pub fn power_off(&mut self, idx: usize) {
         if self.fleet.power_off(idx) {
+            self.generation += 1;
             self.agg.touch_demand(idx);
             self.agg.touch_lru(idx);
         }
@@ -315,6 +350,7 @@ impl Cluster {
     /// Panics if `idx` is out of range.
     pub fn power_on(&mut self, idx: usize) {
         if self.fleet.power_on(idx) {
+            self.generation += 1;
             self.agg.touch_demand(idx);
             self.agg.touch_lru(idx);
         }

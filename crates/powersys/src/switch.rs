@@ -5,6 +5,11 @@
 //! pool within one control action (Figure 8). The fabric tracks relay
 //! wear (actuation counts) because mechanical relays are a real
 //! maintenance item at datacenter scale.
+//!
+//! The controller re-issues the same bulk assignment at most slot
+//! boundaries. The fabric remembers its last bulk assignment and
+//! returns at once when asked for it again while no relay has moved or
+//! stuck since: every relay already sits where that call would put it.
 
 use heb_units::Ratio;
 
@@ -40,6 +45,13 @@ impl core::fmt::Display for PowerSource {
     }
 }
 
+/// The last bulk assignment, with its arguments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Bulk {
+    All(PowerSource),
+    Split { sc: usize, battery: usize },
+}
+
 /// The bank of per-server relays.
 ///
 /// # Examples
@@ -53,7 +65,7 @@ impl core::fmt::Display for PowerSource {
 /// assert_eq!(fabric.count_on(PowerSource::SuperCap), 2);
 /// assert_eq!(fabric.count_on(PowerSource::Utility), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SwitchFabric {
     positions: Vec<PowerSource>,
     /// Relays mechanically stuck in the open (utility) position: the
@@ -61,7 +73,21 @@ pub struct SwitchFabric {
     /// relay is repaired.
     stuck_open: Vec<bool>,
     actuations: u64,
+    /// The last bulk assignment, while every relay still sits where it
+    /// left it; `None` after any single assignment or stuck change.
+    bulk: Option<Bulk>,
 }
+
+/// Equality is over relay state; the bulk memo is ignored.
+impl PartialEq for SwitchFabric {
+    fn eq(&self, other: &Self) -> bool {
+        self.positions == other.positions
+            && self.stuck_open == other.stuck_open
+            && self.actuations == other.actuations
+    }
+}
+
+impl Eq for SwitchFabric {}
 
 impl SwitchFabric {
     /// Creates a fabric of `n` relays, all pointing at utility power.
@@ -71,6 +97,7 @@ impl SwitchFabric {
             positions: vec![PowerSource::Utility; n],
             stuck_open: vec![false; n],
             actuations: 0,
+            bulk: None,
         }
     }
 
@@ -105,6 +132,12 @@ impl SwitchFabric {
     ///
     /// Panics if `server` is out of range.
     pub fn assign(&mut self, server: usize, source: PowerSource) {
+        self.bulk = None;
+        self.move_relay(server, source);
+    }
+
+    /// [`SwitchFabric::assign`] without dropping the bulk memo.
+    fn move_relay(&mut self, server: usize, source: PowerSource) {
         if self.stuck_open[server] && source != PowerSource::Utility {
             return;
         }
@@ -123,6 +156,7 @@ impl SwitchFabric {
     ///
     /// Panics if `server` is out of range.
     pub fn set_stuck_open(&mut self, server: usize, stuck: bool) {
+        self.bulk = None;
         self.stuck_open[server] = stuck;
         if stuck {
             self.positions[server] = PowerSource::Utility;
@@ -160,26 +194,41 @@ impl SwitchFabric {
         self.stuck_open_iter().collect()
     }
 
-    /// Points every relay at `source`.
+    /// Points every relay at `source`; O(1) when this repeats the last
+    /// bulk assignment.
     pub fn assign_all(&mut self, source: PowerSource) {
-        for idx in 0..self.positions.len() {
-            self.assign(idx, source);
+        let bulk = Bulk::All(source);
+        if self.bulk == Some(bulk) {
+            return;
         }
+        for idx in 0..self.positions.len() {
+            self.move_relay(idx, source);
+        }
+        self.bulk = Some(bulk);
     }
 
     /// Points the first `count` relays at `source` and the rest at the
     /// other buffer-or-utility default. Used to realise a coarse `R_λ`
     /// split: `count = round(R_λ · N)` servers on the SC pool.
     pub fn assign_ratio_to(&mut self, source: PowerSource, count: usize) {
+        self.bulk = None;
         let count = count.min(self.positions.len());
         for idx in 0..count {
-            self.assign(idx, source);
+            self.move_relay(idx, source);
         }
     }
 
     /// Realises a full HEB split: `sc_count` relays on the SC pool, the
     /// next `battery_count` on the battery pool, the rest on utility.
+    /// O(1) when this repeats the last bulk assignment.
     pub fn assign_split(&mut self, sc_count: usize, battery_count: usize) {
+        let bulk = Bulk::Split {
+            sc: sc_count,
+            battery: battery_count,
+        };
+        if self.bulk == Some(bulk) {
+            return;
+        }
         let n = self.positions.len();
         let sc_end = sc_count.min(n);
         let ba_end = (sc_count + battery_count).min(n);
@@ -191,8 +240,9 @@ impl SwitchFabric {
             } else {
                 PowerSource::Utility
             };
-            self.assign(idx, source);
+            self.move_relay(idx, source);
         }
+        self.bulk = Some(bulk);
     }
 
     /// Number of relays currently on `source`.
