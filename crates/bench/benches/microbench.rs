@@ -28,9 +28,11 @@
 //! into the baseline JSON, preserving the other recorded fields.
 //! `-- --scale-guard PATH` re-measures every recorded point and fails
 //! (exit 1) if a point's throughput fell below `scale_floor_fraction`
-//! of its recorded baseline, or if the largest fleet no longer
-//! finishes its day in single-digit seconds — the tentpole product
-//! claim, enforced as a hard cap rather than a relative floor.
+//! of its recorded baseline, or if the largest fleet's day takes longer
+//! than `scale_max_wall_secs` (10 s) — a hard cap rather than a
+//! relative floor. The recorded 100 k-server day takes 6.7 ms on a
+//! 2-core x86-64 container, so the cap only catches a collapse to
+//! stepping every server on every tick.
 //!
 //! `-- --dense-sweep [PATH]` runs the dense trajectory (1 k / 10 k
 //! servers of bursty Terasort/Hivebench/Dfsioe on a 1 s tick for
@@ -262,8 +264,8 @@ const SCALE_SEED: u64 = 2015;
 /// [`THROUGHPUT_FLOOR_FRACTION`].
 const SCALE_FLOOR_FRACTION: f64 = 0.25;
 
-/// Hard wall-clock cap on the largest recorded fleet's day — the
-/// "100 k servers, 24 h, single-digit seconds" product claim.
+/// Hard wall-clock cap on the largest recorded fleet's day, in seconds
+/// (the 100 k-server steady day is recorded at 6.7 ms).
 const SCALE_MAX_WALL_SECS: f64 = 10.0;
 
 /// Runs the megafleet day at `servers` and returns the best-of-`runs`
@@ -664,7 +666,7 @@ fn scale_guard(path: &str) -> i32 {
         } else {
             "ok"
         };
-        // The single-digit-seconds claim binds the trajectory's top.
+        // The wall-clock cap binds the trajectory's top.
         if r.servers == largest && measured.wall_secs > max_wall {
             failed = true;
             verdict = "FAIL (over wall-clock cap)";
