@@ -125,8 +125,8 @@ fn specs_to_scenarios(
     solar_hours: f64,
     seed: u64,
 ) -> Vec<Scenario> {
-    // Every point's solar run sees the same seeded day: synthesise it
-    // once and clone it per point.
+    // Every point's solar run sees the same seeded day, shared with
+    // every other builder's solar runs at this seed.
     let solar = super::sunrise_solar(seed);
     specs
         .iter()

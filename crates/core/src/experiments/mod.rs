@@ -26,7 +26,9 @@ mod schemes;
 mod sharing;
 mod valley;
 
-use heb_units::Watts;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
+use heb_units::{Seconds, Watts};
 use heb_workload::{Archetype, PowerTrace, SolarTraceBuilder};
 
 pub use architecture::{architecture_comparison, architecture_scenarios, ArchitecturePoint};
@@ -62,22 +64,47 @@ pub(crate) const MIXED_RACK: [Archetype; 6] = [
 
 /// A one-day 500 W solar trace rotated to start at sunrise, so short
 /// solar runs see generation immediately.
+///
+/// Each seed's day is synthesised once per process and shared: the
+/// memo holds only weak handles to the sample allocations, so a call
+/// returns the day that a live scenario (or any other clone) still
+/// holds, and once the last holder drops the day is freed and the next
+/// call synthesises it afresh, bit for bit the same.
 pub(crate) fn sunrise_solar(seed: u64) -> PowerTrace {
+    /// One weak handle per seed whose day was synthesised; a `Vec`,
+    /// since it holds as many entries as seeds in use (HEB002).
+    static DAYS: Mutex<Vec<(u64, Weak<[Watts]>)>> = Mutex::new(Vec::new());
+    // A panic elsewhere while the lock was held cannot leave a torn
+    // entry behind: every entry is pushed whole.
+    let mut days = DAYS.lock().unwrap_or_else(PoisonError::into_inner);
+    days.retain(|(_, day)| day.strong_count() > 0);
+    if let Some(samples) = days
+        .iter()
+        .find(|(key, _)| *key == seed)
+        .and_then(|(_, day)| day.upgrade())
+    {
+        return PowerTrace::from_shared(samples, SOLAR_DT);
+    }
     let trace = SolarTraceBuilder::new(Watts::new(500.0))
         .seed(seed)
         .days(1.0)
         .clouds_per_day(80.0)
         .mean_cloud_secs(360.0)
+        .dt(SOLAR_DT)
         .build();
     let sunrise_tick = 6 * 3600;
     let samples = trace.samples();
-    let rotated: Vec<_> = samples[sunrise_tick..]
+    let rotated: Arc<[Watts]> = samples[sunrise_tick..]
         .iter()
         .chain(&samples[..sunrise_tick])
         .copied()
         .collect();
-    PowerTrace::new(rotated, trace.dt())
+    days.push((seed, Arc::downgrade(&rotated)));
+    PowerTrace::from_shared(rotated, SOLAR_DT)
 }
+
+/// The sunrise day's sampling interval: one second.
+const SOLAR_DT: Seconds = Seconds::new(1.0);
 
 /// Pulls the next report off a runner's output while assembling an
 /// experiment result.

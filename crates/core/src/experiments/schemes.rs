@@ -134,8 +134,8 @@ pub fn scheme_comparison_scenarios(
     seed: u64,
 ) -> Vec<Scenario> {
     let mut batch = Vec::with_capacity(PolicyKind::ALL.len() * SCENARIOS_PER_SCHEME);
-    // Every scheme's solar run sees the same seeded day: synthesise it
-    // once and clone it per scheme.
+    // Every scheme's solar run sees the same seeded day, shared with
+    // every other builder's solar runs at this seed.
     let solar = super::sunrise_solar(seed);
     for &policy in &PolicyKind::ALL {
         for &workload in &Archetype::ALL {

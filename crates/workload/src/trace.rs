@@ -1,5 +1,7 @@
 //! Fixed-interval power series and the statistics the evaluation uses.
 
+use std::sync::Arc;
+
 use heb_units::{Joules, Seconds, Watts};
 
 /// Whether a mismatch segment sits above or below the budget.
@@ -36,6 +38,10 @@ impl MismatchSegment {
 
 /// A power series sampled at a fixed interval.
 ///
+/// The samples are immutable and shared: cloning a trace bumps a
+/// reference count instead of copying them, so every scenario that
+/// runs from one synthesised day holds the same allocation.
+///
 /// # Examples
 ///
 /// ```
@@ -50,7 +56,7 @@ impl MismatchSegment {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
-    samples: Vec<Watts>,
+    samples: Arc<[Watts]>,
     dt: Seconds,
 }
 
@@ -62,8 +68,25 @@ impl PowerTrace {
     /// Panics if `dt` is not positive.
     #[must_use]
     pub fn new(samples: Vec<Watts>, dt: Seconds) -> Self {
+        Self::from_shared(samples.into(), dt)
+    }
+
+    /// Creates a trace over an already shared sample allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt` is not positive.
+    #[must_use]
+    pub fn from_shared(samples: Arc<[Watts]>, dt: Seconds) -> Self {
         assert!(dt.get() > 0.0, "tick interval must be positive");
         Self { samples, dt }
+    }
+
+    /// The shared sample allocation, for holders that keep a handle
+    /// (or a weak one) to the samples rather than the trace.
+    #[must_use]
+    pub fn shared_samples(&self) -> &Arc<[Watts]> {
+        &self.samples
     }
 
     /// Creates a trace from raw watt values.
@@ -216,21 +239,27 @@ impl PowerTrace {
     #[must_use]
     pub fn zip_add(&self, other: &PowerTrace) -> PowerTrace {
         assert_eq!(self.dt, other.dt, "tick intervals must match");
-        let samples = self.iter().zip(other.iter()).map(|(a, b)| a + b).collect();
-        PowerTrace::new(samples, self.dt)
+        let samples = self
+            .samples
+            .iter()
+            .zip(other.samples.iter())
+            .map(|(&a, &b)| a + b)
+            .collect();
+        PowerTrace::from_shared(samples, self.dt)
     }
 
     /// A trace scaled by a constant factor.
     #[must_use]
     pub fn scaled(&self, factor: f64) -> PowerTrace {
-        PowerTrace::new(self.iter().map(|p| p * factor).collect(), self.dt)
+        let samples = self.samples.iter().map(|&p| p * factor).collect();
+        PowerTrace::from_shared(samples, self.dt)
     }
 }
 
 impl FromIterator<Watts> for PowerTrace {
     /// Collects one-second samples into a trace.
     fn from_iter<I: IntoIterator<Item = Watts>>(iter: I) -> Self {
-        Self::new(iter.into_iter().collect(), Seconds::new(1.0))
+        Self::from_shared(iter.into_iter().collect(), Seconds::new(1.0))
     }
 }
 
@@ -314,6 +343,18 @@ mod tests {
         assert_eq!(t.valley(), Watts::zero());
         assert_eq!(t.mppu(Watts::new(1.0)), 0.0);
         assert!(t.segments(Watts::new(1.0)).is_empty());
+    }
+
+    #[test]
+    fn clones_share_samples_and_compare_by_value() {
+        let t = trace();
+        let clone = t.clone();
+        assert!(Arc::ptr_eq(t.shared_samples(), clone.shared_samples()));
+        let copy = PowerTrace::new(t.samples().to_vec(), t.dt());
+        assert!(!Arc::ptr_eq(t.shared_samples(), copy.shared_samples()));
+        assert_eq!(t, copy);
+        assert_eq!(format!("{t:?}"), format!("{copy:?}"));
+        assert!(format!("{t:?}").starts_with("PowerTrace { samples: [Watts("));
     }
 
     #[test]
