@@ -9,9 +9,12 @@
 //! content-addressed result cache.
 //!
 //! The module also synthesises the aggregate demand trace a query
-//! implies ([`demand_trace`]), mirroring [`Simulation::try_new`]'s
+//! implies ([`demand_trace`]), mirroring
+//! [`Simulation::try_new`](crate::Simulation::try_new)'s
 //! cluster setup bit-for-bit, so the paper's MPPU metric (§2.1) can be
-//! reported without re-running the simulation ([`scenario_mppu`]).
+//! reported without re-running the simulation ([`scenario_mppu`], which
+//! counts the ticks at budget in the same drive loop instead of
+//! collecting the trace).
 
 use std::fmt;
 
@@ -181,16 +184,29 @@ impl WhatIfQuery {
 /// MPPU is defined over open-loop demand, so the scenario's power
 /// mode, faults, initial state of charge and steady-workload override
 /// play no part.
+///
+/// The ticks at or above budget are counted as the demand is driven,
+/// so no trace is collected; the result equals
+/// [`PowerTrace::mppu`] of the collected trace bit for bit.
 #[must_use]
 pub fn scenario_mppu(scenario: &Scenario) -> f64 {
     let config = scenario.config();
-    demand_trace(
+    let mut ticks = 0_usize;
+    let mut at_budget = 0_usize;
+    drive_demand(
         config,
         scenario.workloads(),
         scenario.ticks(),
         scenario.seed(),
-    )
-    .mppu(config.budget)
+        |demand| {
+            ticks += 1;
+            at_budget += usize::from(demand >= config.budget);
+        },
+    );
+    if ticks == 0 {
+        return 0.0;
+    }
+    at_budget as f64 / ticks as f64
 }
 
 /// Synthesises the aggregate cluster demand trace a scenario implies:
@@ -208,18 +224,33 @@ pub fn demand_trace(
     ticks: u64,
     seed: u64,
 ) -> PowerTrace {
+    let mut samples = Vec::new();
+    drive_demand(config, workloads, ticks, seed, |demand| {
+        samples.push(demand)
+    });
+    PowerTrace::new(samples, config.tick)
+}
+
+/// The one open-loop drive loop behind [`demand_trace`] and
+/// [`scenario_mppu`]: hands `sink` the cluster's total demand once per
+/// tick, and nothing for an empty mix or cluster.
+fn drive_demand(
+    config: &SimConfig,
+    workloads: &[Archetype],
+    ticks: u64,
+    seed: u64,
+    mut sink: impl FnMut(Watts),
+) {
     if workloads.is_empty() || config.servers == 0 {
-        return PowerTrace::new(Vec::new(), config.tick);
+        return;
     }
     let (mut cluster, mut lanes) = crate::sim::seeded_rack(config.servers, workloads, seed, None);
     let mut drive = Vec::with_capacity(lanes.len());
-    let mut samples = Vec::with_capacity(ticks as usize);
     for _ in 0..ticks {
         lanes.next_into(&mut drive);
         cluster.set_utilizations(&drive);
-        samples.push(cluster.total_demand());
+        sink(cluster.total_demand());
     }
-    PowerTrace::new(samples, config.tick)
 }
 
 #[cfg(test)]
