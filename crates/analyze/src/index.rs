@@ -6,7 +6,7 @@
 //! the structure, [`scan_taints`] pre-computes the HEB007 taint-token
 //! hits per function body (so a cached file never needs re-scrubbing),
 //! and [`encode`]/[`decode`] round-trip a whole
-//! [`FileAnalysis`](crate::rules::FileAnalysis) through
+//! [`FileAnalysis`] through
 //! `results/analyze-cache/`. Any decode irregularity returns `None`:
 //! a cache miss, never a wrong answer.
 

@@ -6,7 +6,7 @@
 //! `syn` (the environment is offline): [`tokenize`] splits the scrubbed code into
 //! identifier/punctuation tokens, and [`parse_index`] walks the token
 //! stream with a precomputed delimiter-match table to extract an
-//! [`FileIndex`](crate::index::FileIndex).
+//! [`FileIndex`].
 //!
 //! It is a *recognizer*, not a compiler front-end: it has to be right
 //! about item boundaries and call-shaped token runs, and it is allowed

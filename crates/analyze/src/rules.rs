@@ -28,9 +28,9 @@
 //! instead of silently escaping the gate.
 //!
 //! HEB007 and HEB009 are *semantic*: they consume the
-//! [`FileIndex`](crate::index::FileIndex) built by
+//! [`FileIndex`] built by
 //! [`parser`](crate::parser) — per-file for HEB009, cross-file via
-//! [`reach`](crate::reach) for HEB007.
+//! the `reach` module for HEB007.
 
 use crate::diagnostics::Diagnostic;
 use crate::index::FileIndex;

@@ -4,7 +4,7 @@
 //!
 //! Hand-rolled like [`crate::diagnostics::to_json`] — the subset is
 //! tiny: one run, the rule table from
-//! [`RULE_SUMMARIES`](crate::rules::RULE_SUMMARIES), and one result
+//! [`RULE_SUMMARIES`], and one result
 //! per finding with `error`/`warning` level and a single physical
 //! location.
 

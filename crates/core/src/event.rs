@@ -9,7 +9,7 @@
 //! *quiet*: every server is up, the grid is healthy, the buffers are
 //! full, and the workload sits at a steady level. A quiet tick moves no
 //! energy through the buffers and changes nothing but a handful of
-//! accumulators. [`Simulation::try_leap`] checks every quietness
+//! accumulators. `Simulation::try_leap` checks every quietness
 //! condition itself, bounds the span by the next slot boundary and the
 //! next fault edge, and fast-forwards it — bitwise identical to
 //! stepping the span tick by tick. When any condition fails it leaps
@@ -29,7 +29,7 @@
 //! fixed loop exactly — golden traces and fleet cache hashes are
 //! unchanged.
 //! [`SimDriver::event`] runs the leap loop: it offers the rest of the
-//! horizon to [`Simulation::try_leap`] each iteration and falls back
+//! horizon to `Simulation::try_leap` each iteration and falls back
 //! to [`Simulation::step`] whenever the leap refuses — so it is exact
 //! by construction and fast only where fast is free.
 

@@ -232,7 +232,7 @@ impl Ipdu {
     /// - [`MeterFault::Freeze`] returns the latest retained reading (or
     ///   `None` if there is none) without touching history: the agent
     ///   keeps serving stale data.
-    /// - [`MeterFault::Spike(f)`] takes a real sample, scales every
+    /// - [`MeterFault::Spike`]`(f)` takes a real sample, scales every
     ///   channel by `f` in place, and *does* retain the corrupted
     ///   reading — bad data enters the history window just as it would
     ///   in the field.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline verification gate: formatting, lints, release build, tests.
+# Offline verification gate: formatting, lints, docs, release build, tests.
 # Run from anywhere; operates on the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +9,9 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings: no dead or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo build --release"
 cargo build --release
