@@ -166,19 +166,7 @@ impl AggTree {
 
     fn scan_rack(fleet: &ServerArrays, rack: usize, n: usize) -> RackLru {
         let start = rack * RACK_FANOUT;
-        let end = (start + RACK_FANOUT).min(n);
-        let mut min: Option<(f64, usize)> = None;
-        for i in start..end {
-            if fleet.state(i) != crate::PowerState::On {
-                continue;
-            }
-            let stamp = fleet.last_active(i).get();
-            // Strict `<` keeps the first minimal within the rack.
-            if min.is_none_or(|(b, _)| stamp < b) {
-                min = Some((stamp, i));
-            }
-        }
-        match min {
+        match fleet.least_recently_active(start..(start + RACK_FANOUT).min(n)) {
             None => RackLru::NoneRunning,
             Some((last_active, index)) => RackLru::Min { last_active, index },
         }

@@ -281,7 +281,7 @@ impl UtilizationLanes {
     /// When this holds, every future sample of lane `i` equals
     /// `Ratio::new_clamped(profile(i).base_utilization)` bitwise (see
     /// [`crate::UtilizationGenerator::steady_level`]), which is what
-    /// [`UtilizationLanes::steady_into`] writes.
+    /// [`UtilizationLanes::steady_levels`] yields.
     #[must_use]
     pub fn is_steady(&self) -> bool {
         let steady = self
@@ -295,20 +295,22 @@ impl UtilizationLanes {
         steady
     }
 
-    /// Writes every lane's steady level, in lane order, into `out`
-    /// (cleared first) without advancing any stream. Meaningful only
-    /// when [`UtilizationLanes::is_steady`] holds: the skipped draws
-    /// are then unobservable, since a noiseless, burst-free profile
-    /// multiplies every draw by zero.
-    pub fn steady_into(&self, out: &mut Vec<Ratio>) {
-        out.clear();
+    /// Every lane's steady level, in lane order, without advancing any
+    /// stream. Meaningful only when [`UtilizationLanes::is_steady`]
+    /// holds: the skipped draws are then unobservable, since a
+    /// noiseless, burst-free profile multiplies every draw by zero.
+    pub fn steady_levels(&self) -> impl Iterator<Item = Ratio> + '_ {
         let level = |slot: usize| Ratio::new_clamped(self.profiles[slot].base_utilization);
-        match &self.streams {
-            Streams::PerLane { profile, .. } => {
-                out.extend(profile.iter().map(|&slot| level(slot as usize)));
-            }
-            Streams::Steady { lanes } => out.resize(*lanes, level(0)),
-        }
+        // One of the two parts is empty: per-lane slots, or `lanes`
+        // lanes all on slot 0.
+        let (slots, shared): (&[u32], usize) = match &self.streams {
+            Streams::PerLane { profile, .. } => (profile, 0),
+            Streams::Steady { lanes } => (&[], *lanes),
+        };
+        slots
+            .iter()
+            .map(move |&slot| level(slot as usize))
+            .chain((0..shared).map(move |_| level(0)))
     }
 }
 
@@ -361,9 +363,7 @@ mod tests {
             assert_eq!(lanes.len(), 5);
             assert_eq!(*lanes.profile(4), BurstProfile::steady(level));
             assert!(!lanes.in_burst(4));
-            let mut steady = Vec::new();
-            lanes.steady_into(&mut steady);
-            assert_eq!(steady, vec![ratio; 5]);
+            assert_eq!(lanes.steady_levels().collect::<Vec<_>>(), vec![ratio; 5]);
             let mut drawn = Vec::new();
             let mut solo = UtilizationGenerator::new(BurstProfile::steady(level), 0);
             for _ in 0..100 {
