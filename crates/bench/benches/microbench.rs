@@ -30,9 +30,13 @@
 //! (exit 1) if a point's throughput fell below `scale_floor_fraction`
 //! of its recorded baseline, or if the largest fleet's day takes longer
 //! than `scale_max_wall_secs` (10 s) — a hard cap rather than a
-//! relative floor. The recorded 100 k-server day takes 6.7 ms on a
+//! relative floor. The recorded 100 k-server day takes 3.4 ms on a
 //! 2-core x86-64 container, so the cap only catches a collapse to
-//! stepping every server on every tick.
+//! stepping every server on every tick. Each point also records
+//! `build_secs`, the best `Scenario::build_driver` time alone, and the
+//! guard fails a point whose build takes longer than its recorded
+//! `build_secs` over `scale_floor_fraction` (points recorded without
+//! the field are guarded on throughput only).
 //!
 //! `-- --dense-sweep [PATH]` runs the dense trajectory (1 k / 10 k
 //! servers of bursty Terasort/Hivebench/Dfsioe on a 1 s tick for
@@ -251,6 +255,9 @@ struct ScalePoint {
     servers: u64,
     wall_secs: f64,
     server_hours_per_sec: f64,
+    /// Best `Scenario::build_driver` time alone; `None` in baselines
+    /// recorded before set-up was guarded.
+    build_secs: Option<f64>,
 }
 
 /// Simulated horizon of every scale point: one full day.
@@ -265,15 +272,27 @@ const SCALE_SEED: u64 = 2015;
 const SCALE_FLOOR_FRACTION: f64 = 0.25;
 
 /// Hard wall-clock cap on the largest recorded fleet's day, in seconds
-/// (the 100 k-server steady day is recorded at 6.7 ms).
+/// (the 100 k-server steady day is recorded at 3.4 ms).
 const SCALE_MAX_WALL_SECS: f64 = 10.0;
 
+/// Builds timed per run for a scale point's `build_secs`: a build
+/// takes about a millisecond at 100 k servers, so a few more samples
+/// than whole-day runs cost little.
+const SCALE_BUILDS_PER_RUN: usize = 3;
+
 /// Runs the megafleet day at `servers` and returns the best-of-`runs`
-/// wall-clock measurement.
+/// wall-clock measurement, and the best of `SCALE_BUILDS_PER_RUN`
+/// builds per run alone.
 fn measure_scale_point(servers: u64, runs: usize) -> ScalePoint {
     let scenario = megafleet_scenario(servers as usize, SCALE_HOURS, SCALE_SEED);
-    let mut wall_secs = f64::INFINITY;
+    let (mut wall_secs, mut build_secs) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..runs {
+        for _ in 0..SCALE_BUILDS_PER_RUN {
+            let start = Instant::now();
+            let driver = black_box(scenario.build_driver());
+            build_secs = build_secs.min(start.elapsed().as_secs_f64());
+            drop(driver);
+        }
         let start = Instant::now();
         black_box(scenario.run_expect());
         wall_secs = wall_secs.min(start.elapsed().as_secs_f64());
@@ -282,6 +301,7 @@ fn measure_scale_point(servers: u64, runs: usize) -> ScalePoint {
         servers,
         wall_secs,
         server_hours_per_sec: servers as f64 * SCALE_HOURS / wall_secs.max(1e-9),
+        build_secs: Some(build_secs),
     }
 }
 
@@ -299,6 +319,7 @@ fn parse_scale(baseline: &heb_serve::Json) -> Vec<ScalePoint> {
                         servers: p.get("servers")?.as_u64()?,
                         wall_secs: p.get("wall_secs")?.as_f64()?,
                         server_hours_per_sec: p.get("server_hours_per_sec")?.as_f64()?,
+                        build_secs: p.get("build_secs").and_then(heb_serve::Json::as_f64),
                     })
                 })
                 .collect()
@@ -450,8 +471,12 @@ impl Baseline {
             ));
             for (i, p) in self.scale.iter().enumerate() {
                 let comma = if i + 1 < self.scale.len() { "," } else { "" };
+                let build = p
+                    .build_secs
+                    .map(|b| format!(", \"build_secs\": {b:.6}"))
+                    .unwrap_or_default();
                 body.push_str(&format!(
-                    "    {{\"servers\": {}, \"wall_secs\": {:.4}, \"server_hours_per_sec\": {:.1}}}{comma}\n",
+                    "    {{\"servers\": {}, \"wall_secs\": {:.4}, \"server_hours_per_sec\": {:.1}{build}}}{comma}\n",
                     p.servers, p.wall_secs, p.server_hours_per_sec
                 ));
             }
@@ -512,10 +537,11 @@ fn scale_sweep(path: &str) -> i32 {
         .map(|&servers| {
             let p = measure_scale_point(servers as u64, 2);
             println!(
-                "{:<40} {:>10.3} s  ({:.3e} server-hours/s)",
+                "{:<40} {:>10.3} s  ({:.3e} server-hours/s, build {:.3} ms)",
                 format!("megafleet/{servers}"),
                 p.wall_secs,
-                p.server_hours_per_sec
+                p.server_hours_per_sec,
+                p.build_secs.unwrap_or(f64::NAN) * 1e3
             );
             p
         })
@@ -671,9 +697,25 @@ fn scale_guard(path: &str) -> i32 {
             failed = true;
             verdict = "FAIL (over wall-clock cap)";
         }
+        // Set-up alone holds the same fraction of its recorded speed:
+        // a build may take at most 1 / floor_fraction times as long.
+        let mut build = String::new();
+        if let (Some(recorded), Some(took)) = (r.build_secs, measured.build_secs) {
+            let ceiling = recorded / floor_fraction;
+            if took > ceiling {
+                failed = true;
+                verdict = "FAIL (build over ceiling)";
+            }
+            build = format!(
+                ", build {:.3} ms (recorded {:.3}, ceiling {:.3})",
+                took * 1e3,
+                recorded * 1e3,
+                ceiling * 1e3
+            );
+        }
         println!(
             "megafleet/{:<8} recorded {:>9.3e}  measured {:>9.3e} server-hours/s  \
-             (floor {:>9.3e}, wall {:.3} s)  {verdict}",
+             (floor {:>9.3e}, wall {:.3} s{build})  {verdict}",
             r.servers,
             r.server_hours_per_sec,
             measured.server_hours_per_sec,

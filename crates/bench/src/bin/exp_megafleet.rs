@@ -75,7 +75,7 @@ fn main() {
     println!(
         "\nthe struct-of-arrays cluster, the aggregation tree, batched ESD stepping\n\
          and the frozen-cluster skips keep a 100 k-server steady day at about\n\
-         7 ms of wall clock (BENCH_engine_throughput.json, 2-core x86-64);\n\
+         3.4 ms of wall clock (BENCH_engine_throughput.json, 2-core x86-64);\n\
          scaling is linear in fleet size because set-up is O(servers) and a\n\
          tick costs O(changed servers)."
     );
