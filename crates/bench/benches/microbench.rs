@@ -1,222 +1,73 @@
-//! Micro-benchmarks for HEB's hot paths: the PAT lookup, the
-//! Holt-Winters step, the device step functions, and a full control
-//! slot of the end-to-end simulation per policy.
+//! The engine guards, and the sweeps that record their ledger,
+//! `BENCH_engine_throughput.json` (codec: [`heb_bench::ledger`]).
+//! Plain `harness = false` timing loops (the build is offline, so
+//! criterion is unavailable). Every mode takes the ledger's path; a
+//! mode without one exits 2.
 //!
-//! Plain `harness = false` timing loops (median-of-runs over a fixed
-//! iteration budget) — the build environment is offline, so criterion
-//! is unavailable. Run with `cargo bench`.
+//! `cargo bench -p heb-bench --bench microbench -- --guard PATH` runs
+//! five guards in one process, prints one verdict per guard, and exits
+//! 1 if any failed:
 //!
-//! `cargo bench -p heb-bench --bench microbench -- --telemetry-guard`
-//! runs only the telemetry-overhead guard: an interleaved A/B of the
-//! end-to-end slot loop without and with an explicitly attached
-//! `NullRecorder`, failing (exit 1) if the attached side is more than
-//! 5 % slower. Together with the core `disabled_recorder_is_never_invoked`
-//! test this pins the "zero-cost when disabled" contract.
+//! - **telemetry overhead**: one control slot with the default recorder
+//!   against one with an explicitly attached `NullRecorder`, built
+//!   untimed, in pairs of alternating order; the median pair ratio must
+//!   stay within 1.05. With the core `disabled_recorder_is_never_invoked`
+//!   test this pins the "zero-cost when disabled" contract.
+//! - **engine throughput**: a 16-scenario uncached batch at the
+//!   ledger's `jobs` must reach `floor_fraction` (0.25) of
+//!   `scenarios_per_sec`: generous on purpose, to catch
+//!   order-of-magnitude regressions, not machine-to-machine noise.
+//! - **sparse speedup**: a valley-heavy simulation driven dense and
+//!   leaping must agree on the report, and leaping must be at least
+//!   `sparse_speedup_floor` (5×) faster. A ratio is machine-independent,
+//!   so this floor is a product claim, not a noise allowance.
+//! - **megafleet scale**: the 1 k / 10 k / 100 k-server steady day. Each
+//!   point keeps `scale_floor_fraction` (0.25) of its server-hours/s and
+//!   builds in at most `build_secs` over that fraction; the largest day
+//!   ends within `scale_max_wall_secs` (10 s). The 100 k day is recorded
+//!   at 3.4 ms on a 2-core x86-64 container, so the cap only catches a
+//!   collapse to stepping every server on every tick.
+//! - **dense**: 1 k / 10 k bursty servers on a 1 s tick for 30 minutes,
+//!   where nothing leaps; each point keeps `dense_floor_fraction` (0.25)
+//!   of its server-ticks/s.
 //!
-//! `-- --throughput-baseline [PATH]` measures fleet-engine throughput
-//! and writes it to `PATH` (default `BENCH_engine_throughput.json`);
-//! the committed copy at the repo root is the regression reference.
-//! `-- --throughput-guard PATH` re-measures and fails (exit 1) if
-//! throughput fell below `floor_fraction` of the recorded baseline —
-//! the floor is deliberately generous (0.25) so the guard catches
-//! order-of-magnitude regressions (an accidentally quadratic probe
-//! pass, a sync added per tick) rather than machine-to-machine noise.
-//!
-//! `-- --scale-sweep [PATH]` runs the megafleet scale trajectory
-//! (1 k / 10 k / 100 k servers, a steady 24 h day each, through the
-//! event driver) and records per-point wall-clock and server-hours/s
-//! into the baseline JSON, preserving the other recorded fields.
-//! `-- --scale-guard PATH` re-measures every recorded point and fails
-//! (exit 1) if a point's throughput fell below `scale_floor_fraction`
-//! of its recorded baseline, or if the largest fleet's day takes longer
-//! than `scale_max_wall_secs` (10 s) — a hard cap rather than a
-//! relative floor. The recorded 100 k-server day takes 3.4 ms on a
-//! 2-core x86-64 container, so the cap only catches a collapse to
-//! stepping every server on every tick. Each point also records
-//! `build_secs`, the best `Scenario::build_driver` time alone, and the
-//! guard fails a point whose build takes longer than its recorded
-//! `build_secs` over `scale_floor_fraction` (points recorded without
-//! the field are guarded on throughput only).
-//!
-//! `-- --dense-sweep [PATH]` runs the dense trajectory (1 k / 10 k
-//! servers of bursty Terasort/Hivebench/Dfsioe on a 1 s tick for
-//! 30 simulated minutes, where nothing leaps and every server pays
-//! every tick) and records per-point wall-clock and server-ticks/s
-//! under the baseline's `dense` key, preserving the other fields.
-//! `-- --dense-guard PATH` re-measures every recorded dense point and
-//! fails (exit 1) if its throughput fell below `dense_floor_fraction`
-//! of the recorded one. The scale guard covers only the leaped steady
-//! day; this one covers the per-server-tick kernels.
-//!
-//! `-- --sparse-speedup-guard PATH` runs the sparse-workload
-//! microbench: the same valley-heavy simulation driven dense
-//! (`SimDriver::tick`) and leaping (`SimDriver::event`), asserting the
-//! reports are identical and failing (exit 1) if event mode's
-//! wall-clock speedup falls below the `sparse_speedup_floor` recorded
-//! in the baseline JSON. A speedup ratio is machine-independent, so
-//! unlike the throughput guard this floor is a hard product claim
-//! (≥ 5×), not a noise allowance.
+//! `-- --throughput-baseline PATH`, `-- --scale-sweep PATH` and
+//! `-- --dense-sweep PATH` each re-measure one section of the existing
+//! ledger and write every other section back unchanged.
 
-use heb_core::experiments::{megafleet_scenario, MEGAFLEET_SCALES};
-use heb_core::{
-    DriverMode, PolicyKind, PowerAllocationTable, Scenario, SimConfig, SimDriver, Simulation,
-};
-use heb_esd::{LeadAcidBattery, StorageDevice, SuperCapacitor};
-use heb_fleet::{FleetEngine, RunPolicy};
-use heb_forecast::{HoltWinters, Predictor};
-use heb_units::{Joules, Ratio, Seconds, Watts};
-use heb_workload::Archetype;
 use std::hint::black_box;
+use std::path::Path;
 use std::time::Instant;
 
-/// Times `iters` calls of `f`, repeated over `runs` runs, and prints
-/// the best per-iteration latency (least-noise estimator for short,
-/// deterministic kernels).
-fn bench(name: &str, runs: usize, iters: u64, mut f: impl FnMut()) {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per_iter = start.elapsed().as_secs_f64() / iters as f64;
-        best = best.min(per_iter);
-    }
-    let (value, unit) = if best < 1e-6 {
-        (best * 1e9, "ns")
-    } else if best < 1e-3 {
-        (best * 1e6, "us")
-    } else {
-        (best * 1e3, "ms")
-    };
-    println!("{name:<40} {value:>10.2} {unit}/iter  ({runs} runs x {iters} iters)");
-}
+use heb_bench::ledger::{self, Ledger, Point, Section, Trajectory};
+use heb_core::experiments::{megafleet_scenario, MEGAFLEET_SCALES};
+use heb_core::{DriverMode, PolicyKind, Scenario, SimConfig, SimDriver, Simulation};
+use heb_fleet::{FleetEngine, RunPolicy};
+use heb_units::{Joules, Ratio, Seconds, Watts};
+use heb_workload::Archetype;
 
-fn bench_pat() {
-    let mut pat = PowerAllocationTable::new(
-        Joules::from_watt_hours(10.0),
-        Watts::new(20.0),
-        Ratio::new_clamped(0.01),
-    );
-    // Populate a realistic table (hundreds of entries).
-    for sc in 0..8 {
-        for ba in 0..12 {
-            for pm in 0..8 {
-                let key = pat.key(
-                    Joules::from_watt_hours(f64::from(sc) * 10.0),
-                    Joules::from_watt_hours(f64::from(ba) * 10.0),
-                    Watts::new(f64::from(pm) * 20.0),
-                );
-                pat.insert(key, Ratio::new_clamped(0.3));
-            }
-        }
-    }
-    let miss = pat.key(
-        Joules::from_watt_hours(83.0),
-        Joules::from_watt_hours(123.0),
-        Watts::new(171.0),
-    );
-    bench("pat/lookup_similar_miss", 10, 10_000, || {
-        black_box(pat.lookup_similar(black_box(miss)));
-    });
-    let hit = pat.key(
-        Joules::from_watt_hours(40.0),
-        Joules::from_watt_hours(60.0),
-        Watts::new(80.0),
-    );
-    bench("pat/lookup_hit", 10, 100_000, || {
-        black_box(pat.lookup(black_box(hit)));
-    });
-}
+/// What a guard reports: whether it held, and what it measured.
+type Verdict = (bool, String);
 
-fn bench_forecast() {
-    let mut hw = HoltWinters::for_power_series(144);
-    let mut x = 0.0_f64;
-    bench("forecast/holt_winters_observe", 10, 50_000, || {
-        x += 1.0;
-        hw.observe(black_box(200.0 + (x * 0.1).sin() * 50.0));
-        black_box(hw.forecast(1));
-    });
-}
+/// Fraction of a recorded rate every throughput, scale and dense
+/// guard run must reach. Generous on purpose: CI containers and
+/// laptops differ by small factors, real regressions by large ones.
+const FLOOR_FRACTION: f64 = 0.25;
 
-fn bench_devices() {
-    let mut battery = LeadAcidBattery::prototype_string();
-    bench("esd/battery_discharge_tick", 10, 50_000, || {
-        let r = battery.discharge(black_box(Watts::new(120.0)), Seconds::new(1.0));
-        if battery.is_depleted() {
-            battery = LeadAcidBattery::prototype_string();
-        }
-        black_box(r);
-    });
-    let mut sc = SuperCapacitor::prototype_module();
-    bench("esd/supercap_discharge_tick", 10, 50_000, || {
-        let r = sc.discharge(black_box(Watts::new(120.0)), Seconds::new(1.0));
-        if sc.is_depleted() {
-            sc = SuperCapacitor::prototype_module();
-        }
-        black_box(r);
-    });
-}
+/// Worker count the throughput batch is recorded at.
+const THROUGHPUT_JOBS: usize = 4;
 
-fn bench_simulation() {
-    for policy in [PolicyKind::BaOnly, PolicyKind::ScFirst, PolicyKind::HebD] {
-        bench(&format!("sim/one_slot/{}", policy.name()), 5, 10, || {
-            let sim = Simulation::new(
-                SimConfig::prototype().with_policy(policy),
-                &[Archetype::WebSearch, Archetype::Terasort],
-                42,
-            );
-            black_box(SimDriver::tick(sim).run_ticks(600));
-        });
-    }
-}
+/// Passes the throughput batch takes the best of.
+const THROUGHPUT_RUNS: usize = 3;
 
-fn bench_fleet_engine() {
-    // Engine throughput: a 16-scenario batch of short mixed-workload
-    // runs, executed at increasing worker counts (no cache, so every
-    // scenario simulates). On a single-core host the levels collapse
-    // to serial throughput; on multi-core the scaling is visible.
-    let batch: Vec<Scenario> = (0..16)
-        .map(|i| {
-            Scenario::new(
-                format!("microbench/{i}"),
-                SimConfig::prototype().with_policy(PolicyKind::HebD),
-                &[Archetype::WebSearch, Archetype::Terasort],
-                0.05,
-                42 + i,
-            )
-        })
-        .collect();
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut levels = vec![1, 4];
-    if !levels.contains(&cores) {
-        levels.push(cores);
-    }
-    for jobs in levels {
-        let engine = FleetEngine::new(jobs);
-        let mut throughput = 0.0_f64;
-        for _ in 0..3 {
-            let start = Instant::now();
-            black_box(
-                engine
-                    .run(black_box(&batch), &RunPolicy::new())
-                    .expect_reports(),
-            );
-            throughput = throughput.max(batch.len() as f64 / start.elapsed().as_secs_f64());
-        }
-        println!(
-            "{:<40} {throughput:>10.2} scenarios/s  (best of 3 x {}-scenario batches)",
-            format!("fleet/engine_throughput/jobs={jobs}"),
-            batch.len()
-        );
-    }
-}
+/// Scenarios in the throughput batch.
+const THROUGHPUT_BATCH: usize = 16;
 
-/// The workload the throughput baseline and guard both measure: a
-/// 16-scenario uncached batch (every scenario simulates), best of
-/// `runs` passes at a fixed worker count.
-fn measure_throughput(jobs: usize, runs: usize) -> (f64, usize) {
-    let batch: Vec<Scenario> = (0..16)
+/// The workload the throughput baseline and guard both measure: an
+/// uncached batch (every scenario simulates), best of
+/// [`THROUGHPUT_RUNS`] passes at a fixed worker count.
+fn measure_throughput(jobs: usize) -> f64 {
+    let batch: Vec<Scenario> = (0..THROUGHPUT_BATCH as u64)
         .map(|i| {
             Scenario::new(
                 format!("microbench/{i}"),
@@ -229,124 +80,86 @@ fn measure_throughput(jobs: usize, runs: usize) -> (f64, usize) {
         .collect();
     let engine = FleetEngine::new(jobs);
     let mut throughput = 0.0_f64;
-    for _ in 0..runs {
+    for _ in 0..THROUGHPUT_RUNS {
         let start = Instant::now();
         black_box(
             engine
                 .run(black_box(&batch), &RunPolicy::new())
                 .expect_reports(),
         );
-        throughput = throughput.max(batch.len() as f64 / start.elapsed().as_secs_f64());
+        throughput = throughput.max(THROUGHPUT_BATCH as f64 / start.elapsed().as_secs_f64());
     }
-    (throughput, batch.len())
+    throughput
 }
 
-/// Fraction of the recorded baseline the current measurement must
-/// reach. Generous on purpose: CI containers and laptops differ by
-/// small factors, real regressions by large ones.
-const THROUGHPUT_FLOOR_FRACTION: f64 = 0.25;
-
-/// Worker count both modes pin, for comparability across machines.
-const THROUGHPUT_JOBS: usize = 4;
-
-/// One recorded (or freshly measured) megafleet scale point.
-#[derive(Debug, Clone, Copy)]
-struct ScalePoint {
-    servers: u64,
-    wall_secs: f64,
-    server_hours_per_sec: f64,
-    /// Best `Scenario::build_driver` time alone; `None` in baselines
-    /// recorded before set-up was guarded.
-    build_secs: Option<f64>,
+fn throughput_guard(ledger: &Ledger) -> Verdict {
+    let jobs = usize::try_from(ledger.jobs).unwrap_or(1).max(1);
+    let measured = measure_throughput(jobs);
+    let floor = ledger.scenarios_per_sec * ledger.floor_fraction;
+    (
+        measured >= floor,
+        format!(
+            "{measured:.2} scenarios/s at jobs={jobs} (recorded {:.2}, floor {floor:.2})",
+            ledger.scenarios_per_sec
+        ),
+    )
 }
+
+/// One fleet-size trajectory as the sweeps and the guard run it.
+struct Sweep {
+    /// Where it sits in the ledger.
+    ledger: Trajectory,
+    /// Fleet sizes a sweep records.
+    sizes: &'static [usize],
+    /// The scenario at a fleet size.
+    scenario: fn(usize) -> Scenario,
+    /// Simulated hours (scale) or ticks (dense) of every scenario.
+    horizon: f64,
+    /// Whole runs a point is the best of.
+    runs: usize,
+    /// Builds timed alone before each run for `build_secs` (none: the
+    /// point records no set-up time).
+    builds_per_run: usize,
+    /// Wall-clock cap on the largest point, in seconds.
+    max_wall_secs: Option<f64>,
+}
+
+/// Seed pinning both trajectories' scenarios.
+const TRAJECTORY_SEED: u64 = 2015;
+
+/// The megafleet steady day, leaped by the event driver. A build takes
+/// about a millisecond at 100 k servers, so it takes a few more samples
+/// than the whole day.
+const SCALE: Sweep = Sweep {
+    ledger: ledger::SCALE,
+    sizes: &MEGAFLEET_SCALES,
+    scenario: scale_scenario,
+    horizon: SCALE_HOURS,
+    runs: 2,
+    builds_per_run: 3,
+    max_wall_secs: Some(10.0),
+};
+
+/// Bursty servers on a 1 s tick for 30 minutes: nothing leaps.
+const DENSE: Sweep = Sweep {
+    ledger: ledger::DENSE,
+    sizes: &[1_000, 10_000],
+    scenario: dense_scenario,
+    horizon: DENSE_TICKS as f64,
+    runs: 3,
+    builds_per_run: 0,
+    max_wall_secs: None,
+};
 
 /// Simulated horizon of every scale point: one full day.
 const SCALE_HOURS: f64 = 24.0;
 
-/// Seed pinning the scale trajectory's scenarios.
-const SCALE_SEED: u64 = 2015;
-
-/// Fraction of a recorded scale point the re-measured throughput must
-/// reach — generous for the same machine-variance reason as
-/// [`THROUGHPUT_FLOOR_FRACTION`].
-const SCALE_FLOOR_FRACTION: f64 = 0.25;
-
-/// Hard wall-clock cap on the largest recorded fleet's day, in seconds
-/// (the 100 k-server steady day is recorded at 3.4 ms).
-const SCALE_MAX_WALL_SECS: f64 = 10.0;
-
-/// Builds timed per run for a scale point's `build_secs`: a build
-/// takes about a millisecond at 100 k servers, so a few more samples
-/// than whole-day runs cost little.
-const SCALE_BUILDS_PER_RUN: usize = 3;
-
-/// Runs the megafleet day at `servers` and returns the best-of-`runs`
-/// wall-clock measurement, and the best of `SCALE_BUILDS_PER_RUN`
-/// builds per run alone.
-fn measure_scale_point(servers: u64, runs: usize) -> ScalePoint {
-    let scenario = megafleet_scenario(servers as usize, SCALE_HOURS, SCALE_SEED);
-    let (mut wall_secs, mut build_secs) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..runs {
-        for _ in 0..SCALE_BUILDS_PER_RUN {
-            let start = Instant::now();
-            let driver = black_box(scenario.build_driver());
-            build_secs = build_secs.min(start.elapsed().as_secs_f64());
-            drop(driver);
-        }
-        let start = Instant::now();
-        black_box(scenario.run_expect());
-        wall_secs = wall_secs.min(start.elapsed().as_secs_f64());
-    }
-    ScalePoint {
-        servers,
-        wall_secs,
-        server_hours_per_sec: servers as f64 * SCALE_HOURS / wall_secs.max(1e-9),
-        build_secs: Some(build_secs),
-    }
+fn scale_scenario(servers: usize) -> Scenario {
+    megafleet_scenario(servers, SCALE_HOURS, TRAJECTORY_SEED)
 }
-
-/// The scale points recorded in a parsed baseline, oldest format
-/// (no `scale` key) yielding an empty list.
-fn parse_scale(baseline: &heb_serve::Json) -> Vec<ScalePoint> {
-    baseline
-        .get("scale")
-        .and_then(heb_serve::Json::as_arr)
-        .map(|points| {
-            points
-                .iter()
-                .filter_map(|p| {
-                    Some(ScalePoint {
-                        servers: p.get("servers")?.as_u64()?,
-                        wall_secs: p.get("wall_secs")?.as_f64()?,
-                        server_hours_per_sec: p.get("server_hours_per_sec")?.as_f64()?,
-                        build_secs: p.get("build_secs").and_then(heb_serve::Json::as_f64),
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// One recorded (or freshly measured) dense-regime point.
-#[derive(Debug, Clone, Copy)]
-struct DensePoint {
-    servers: u64,
-    wall_secs: f64,
-    server_ticks_per_sec: f64,
-}
-
-/// Fleet sizes of the dense trajectory.
-const DENSE_SCALES: [usize; 2] = [1_000, 10_000];
 
 /// Simulated ticks of every dense point: 30 min of 1 s ticks.
 const DENSE_TICKS: u64 = 1_800;
-
-/// Seed pinning the dense trajectory's scenarios.
-const DENSE_SEED: u64 = 2015;
-
-/// Fraction of a recorded dense point the re-measured throughput must
-/// reach — the same machine-variance allowance as the scale guard.
-const DENSE_FLOOR_FRACTION: f64 = 0.25;
 
 /// The bursty large-peak mix: no steady level, so nothing leaps.
 const DENSE_MIX: [Archetype; 3] = [Archetype::Terasort, Archetype::Hivebench, Archetype::Dfsioe];
@@ -374,405 +187,98 @@ fn dense_scenario(servers: usize) -> Scenario {
         config,
         &DENSE_MIX,
         DENSE_TICKS,
-        DENSE_SEED,
+        TRAJECTORY_SEED,
     )
     .with_driver_mode(DriverMode::Event)
 }
 
-/// Runs the dense scenario at `servers` and returns the best-of-`runs`
-/// wall-clock measurement.
-fn measure_dense_point(servers: u64, runs: usize) -> DensePoint {
-    let scenario = dense_scenario(servers as usize);
-    let mut wall_secs = f64::INFINITY;
-    for _ in 0..runs {
+/// The point at `servers`: the best of `runs` whole runs and of the
+/// builds timed alone before each.
+fn measure(sweep: &Sweep, servers: u64) -> Point {
+    let scenario = (sweep.scenario)(servers as usize);
+    let (mut wall_secs, mut build_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..sweep.runs {
+        for _ in 0..sweep.builds_per_run {
+            let start = Instant::now();
+            let driver = black_box(scenario.build_driver());
+            build_secs = build_secs.min(start.elapsed().as_secs_f64());
+            drop(driver);
+        }
         let start = Instant::now();
         black_box(scenario.run_expect());
         wall_secs = wall_secs.min(start.elapsed().as_secs_f64());
     }
-    DensePoint {
+    Point {
         servers,
         wall_secs,
-        server_ticks_per_sec: servers as f64 * DENSE_TICKS as f64 / wall_secs.max(1e-9),
+        rate: servers as f64 * sweep.horizon / wall_secs.max(1e-9),
+        build_secs: (sweep.builds_per_run > 0).then_some(build_secs),
     }
 }
 
-/// The dense points recorded in a parsed baseline (none before the
-/// dense gate existed).
-fn parse_dense(baseline: &heb_serve::Json) -> Vec<DensePoint> {
-    baseline
-        .get("dense")
-        .and_then(heb_serve::Json::as_arr)
-        .map(|points| {
-            points
-                .iter()
-                .filter_map(|p| {
-                    Some(DensePoint {
-                        servers: p.get("servers")?.as_u64()?,
-                        wall_secs: p.get("wall_secs")?.as_f64()?,
-                        server_ticks_per_sec: p.get("server_ticks_per_sec")?.as_f64()?,
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+/// One point's measurement, as a sweep or the guard prints it.
+fn describe(sweep: &Sweep, p: &Point) -> String {
+    let build = p
+        .build_secs
+        .map(|b| format!(", build {:.3} ms", b * 1e3))
+        .unwrap_or_default();
+    format!(
+        "{:<14} {} {:>9.3e}  (wall {:.4} s{build})",
+        format!("{}/{}", sweep.ledger.key, p.servers),
+        sweep.ledger.rate_field,
+        p.rate,
+        p.wall_secs
+    )
 }
 
-/// Everything the baseline file records. Each sweep refreshes its own
-/// part and keeps the others as recorded.
-struct Baseline {
-    batch: usize,
-    scenarios_per_sec: f64,
-    scale: Vec<ScalePoint>,
-    dense: Vec<DensePoint>,
-}
-
-impl Baseline {
-    /// The baseline at `path`; the engine-throughput number is
-    /// measured fresh only when the file does not record one.
-    fn load_or_measure(path: &str) -> Self {
-        let parsed = load_baseline(path);
-        let kept = parsed.as_ref().and_then(|b| {
-            Some((
-                b.get("scenarios_per_sec")?.as_f64()?,
-                b.get("batch_size")?.as_u64()? as usize,
-            ))
-        });
-        let (scenarios_per_sec, batch) =
-            kept.unwrap_or_else(|| measure_throughput(THROUGHPUT_JOBS, 3));
-        Self {
-            batch,
-            scenarios_per_sec,
-            scale: parsed.as_ref().map(parse_scale).unwrap_or_default(),
-            dense: parsed.as_ref().map(parse_dense).unwrap_or_default(),
-        }
-    }
-
-    fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.render())
-    }
-
-    /// Serialises the complete baseline file: the engine-throughput
-    /// fields plus the (possibly empty) megafleet scale and dense
-    /// trajectories.
-    fn render(&self) -> String {
-        let mut body = format!(
-            "{{\n  \"bench\": \"fleet/engine_throughput\",\n  \"batch_size\": {},\n  \
-             \"jobs\": {THROUGHPUT_JOBS},\n  \"best_of\": 3,\n  \
-             \"scenarios_per_sec\": {:.2},\n  \
-             \"floor_fraction\": {THROUGHPUT_FLOOR_FRACTION},\n  \
-             \"sparse_speedup_floor\": {SPARSE_SPEEDUP_FLOOR}",
-            self.batch, self.scenarios_per_sec
+/// Re-measures every point `ledger` records for `sweep` against its
+/// floor, and the scale-only build ceiling and wall-clock cap.
+fn trajectory_guard(sweep: &Sweep, ledger: &Ledger) -> Verdict {
+    let key = sweep.ledger.key;
+    let Some(recorded) = ledger.sections.get(key) else {
+        return (
+            false,
+            format!("no `{key}` trajectory recorded (--{key}-sweep)"),
         );
-        if !self.scale.is_empty() {
-            body.push_str(&format!(
-                ",\n  \"scale_hours\": {SCALE_HOURS},\n  \
-                 \"scale_floor_fraction\": {SCALE_FLOOR_FRACTION},\n  \
-                 \"scale_max_wall_secs\": {SCALE_MAX_WALL_SECS},\n  \"scale\": [\n"
-            ));
-            for (i, p) in self.scale.iter().enumerate() {
-                let comma = if i + 1 < self.scale.len() { "," } else { "" };
-                let build = p
-                    .build_secs
-                    .map(|b| format!(", \"build_secs\": {b:.6}"))
-                    .unwrap_or_default();
-                body.push_str(&format!(
-                    "    {{\"servers\": {}, \"wall_secs\": {:.4}, \"server_hours_per_sec\": {:.1}{build}}}{comma}\n",
-                    p.servers, p.wall_secs, p.server_hours_per_sec
-                ));
+    };
+    let largest = recorded.points.iter().map(|p| p.servers).max();
+    let mut failed = 0;
+    for r in &recorded.points {
+        let measured = measure(sweep, r.servers);
+        let floor = r.rate * recorded.floor_fraction;
+        let mut problems = Vec::new();
+        if measured.rate < floor {
+            problems.push(format!("below floor {floor:.3e}"));
+        }
+        if let Some(cap) = recorded.max_wall_secs {
+            if Some(r.servers) == largest && measured.wall_secs > cap {
+                problems.push(format!("over the {cap} s cap"));
             }
-            body.push_str("  ]");
-        }
-        if !self.dense.is_empty() {
-            body.push_str(&format!(
-                ",\n  \"dense_ticks\": {DENSE_TICKS},\n  \
-                 \"dense_floor_fraction\": {DENSE_FLOOR_FRACTION},\n  \"dense\": [\n"
-            ));
-            for (i, p) in self.dense.iter().enumerate() {
-                let comma = if i + 1 < self.dense.len() { "," } else { "" };
-                body.push_str(&format!(
-                    "    {{\"servers\": {}, \"wall_secs\": {:.4}, \"server_ticks_per_sec\": {:.1}}}{comma}\n",
-                    p.servers, p.wall_secs, p.server_ticks_per_sec
-                ));
-            }
-            body.push_str("  ]");
-        }
-        body.push_str("\n}\n");
-        body
-    }
-}
-
-/// The baseline currently at `path`, if readable and valid.
-fn load_baseline(path: &str) -> Option<heb_serve::Json> {
-    let raw = std::fs::read_to_string(path).ok()?;
-    heb_serve::json::parse(&raw).ok()
-}
-
-fn throughput_baseline(path: &str) -> i32 {
-    let (scenarios_per_sec, batch) = measure_throughput(THROUGHPUT_JOBS, 3);
-    // Refreshing the throughput number must not drop a recorded scale
-    // or dense trajectory — the sweeps are updated independently.
-    let recorded = load_baseline(path);
-    let baseline = Baseline {
-        batch,
-        scenarios_per_sec,
-        scale: recorded.as_ref().map(parse_scale).unwrap_or_default(),
-        dense: recorded.as_ref().map(parse_dense).unwrap_or_default(),
-    };
-    match baseline.write(path) {
-        Ok(()) => {
-            println!("throughput baseline: {scenarios_per_sec:.2} scenarios/s -> {path}");
-            0
-        }
-        Err(err) => {
-            eprintln!("FAIL: cannot write {path}: {err}");
-            1
-        }
-    }
-}
-
-fn scale_sweep(path: &str) -> i32 {
-    println!("megafleet scale sweep: steady {SCALE_HOURS} h day, event driver\n");
-    let scale: Vec<ScalePoint> = MEGAFLEET_SCALES
-        .iter()
-        .map(|&servers| {
-            let p = measure_scale_point(servers as u64, 2);
-            println!(
-                "{:<40} {:>10.3} s  ({:.3e} server-hours/s, build {:.3} ms)",
-                format!("megafleet/{servers}"),
-                p.wall_secs,
-                p.server_hours_per_sec,
-                p.build_secs.unwrap_or(f64::NAN) * 1e3
-            );
-            p
-        })
-        .collect();
-    let baseline = Baseline {
-        scale,
-        ..Baseline::load_or_measure(path)
-    };
-    match baseline.write(path) {
-        Ok(()) => {
-            println!(
-                "scale trajectory ({} points) -> {path}",
-                baseline.scale.len()
-            );
-            0
-        }
-        Err(err) => {
-            eprintln!("FAIL: cannot write {path}: {err}");
-            1
-        }
-    }
-}
-
-fn dense_sweep(path: &str) -> i32 {
-    println!("dense sweep: bursty TS/HB/DFS, 1 s tick, {DENSE_TICKS} ticks, event driver\n");
-    let dense: Vec<DensePoint> = DENSE_SCALES
-        .iter()
-        .map(|&servers| {
-            let p = measure_dense_point(servers as u64, 3);
-            println!(
-                "{:<40} {:>10.3} s  ({:.3e} server-ticks/s)",
-                format!("dense/{servers}"),
-                p.wall_secs,
-                p.server_ticks_per_sec
-            );
-            p
-        })
-        .collect();
-    let baseline = Baseline {
-        dense,
-        ..Baseline::load_or_measure(path)
-    };
-    match baseline.write(path) {
-        Ok(()) => {
-            println!(
-                "dense trajectory ({} points) -> {path}",
-                baseline.dense.len()
-            );
-            0
-        }
-        Err(err) => {
-            eprintln!("FAIL: cannot write {path}: {err}");
-            1
-        }
-    }
-}
-
-fn dense_guard(path: &str) -> i32 {
-    let regenerate = || {
-        eprintln!(
-            "regenerate with: cargo bench -p heb-bench --bench microbench -- --dense-sweep {path}"
-        )
-    };
-    let Some(baseline) = load_baseline(path) else {
-        eprintln!("FAIL: cannot read baseline {path}");
-        regenerate();
-        return 1;
-    };
-    let recorded = parse_dense(&baseline);
-    if recorded.is_empty() {
-        eprintln!("FAIL: baseline {path} records no dense trajectory");
-        regenerate();
-        return 1;
-    }
-    let floor_fraction = baseline
-        .get("dense_floor_fraction")
-        .and_then(heb_serve::Json::as_f64)
-        .unwrap_or(DENSE_FLOOR_FRACTION);
-    println!(
-        "dense guard: {} recorded point(s), bursty TS/HB/DFS, 1 s tick, {DENSE_TICKS} ticks\n",
-        recorded.len()
-    );
-    let mut failed = false;
-    for r in &recorded {
-        let measured = measure_dense_point(r.servers, 3);
-        let floor = r.server_ticks_per_sec * floor_fraction;
-        let verdict = if measured.server_ticks_per_sec < floor {
-            failed = true;
-            "FAIL (below floor)"
-        } else {
-            "ok"
-        };
-        println!(
-            "dense/{:<8} recorded {:>9.3e}  measured {:>9.3e} server-ticks/s  \
-             (floor {:>9.3e}, wall {:.3} s)  {verdict}",
-            r.servers,
-            r.server_ticks_per_sec,
-            measured.server_ticks_per_sec,
-            floor,
-            measured.wall_secs
-        );
-    }
-    if failed {
-        eprintln!("FAIL: dense trajectory regressed");
-        1
-    } else {
-        println!("OK: every dense point holds its throughput floor");
-        0
-    }
-}
-
-fn scale_guard(path: &str) -> i32 {
-    let Some(baseline) = load_baseline(path) else {
-        eprintln!("FAIL: cannot read baseline {path}");
-        eprintln!(
-            "regenerate with: cargo bench -p heb-bench --bench microbench -- --scale-sweep {path}"
-        );
-        return 1;
-    };
-    let recorded = parse_scale(&baseline);
-    if recorded.is_empty() {
-        eprintln!("FAIL: baseline {path} records no scale trajectory");
-        eprintln!(
-            "regenerate with: cargo bench -p heb-bench --bench microbench -- --scale-sweep {path}"
-        );
-        return 1;
-    }
-    let floor_fraction = baseline
-        .get("scale_floor_fraction")
-        .and_then(heb_serve::Json::as_f64)
-        .unwrap_or(SCALE_FLOOR_FRACTION);
-    let max_wall = baseline
-        .get("scale_max_wall_secs")
-        .and_then(heb_serve::Json::as_f64)
-        .unwrap_or(SCALE_MAX_WALL_SECS);
-    println!(
-        "megafleet scale guard: {} recorded point(s), steady {SCALE_HOURS} h day\n",
-        recorded.len()
-    );
-    let largest = recorded.iter().map(|p| p.servers).max().unwrap_or(0);
-    let mut failed = false;
-    for r in &recorded {
-        let measured = measure_scale_point(r.servers, 2);
-        let floor = r.server_hours_per_sec * floor_fraction;
-        let mut verdict = if measured.server_hours_per_sec < floor {
-            failed = true;
-            "FAIL (below floor)"
-        } else {
-            "ok"
-        };
-        // The wall-clock cap binds the trajectory's top.
-        if r.servers == largest && measured.wall_secs > max_wall {
-            failed = true;
-            verdict = "FAIL (over wall-clock cap)";
         }
         // Set-up alone holds the same fraction of its recorded speed:
         // a build may take at most 1 / floor_fraction times as long.
-        let mut build = String::new();
-        if let (Some(recorded), Some(took)) = (r.build_secs, measured.build_secs) {
-            let ceiling = recorded / floor_fraction;
+        if let (Some(was), Some(took)) = (r.build_secs, measured.build_secs) {
+            let ceiling = was / recorded.floor_fraction;
             if took > ceiling {
-                failed = true;
-                verdict = "FAIL (build over ceiling)";
+                problems.push(format!("build over ceiling {:.3} ms", ceiling * 1e3));
             }
-            build = format!(
-                ", build {:.3} ms (recorded {:.3}, ceiling {:.3})",
-                took * 1e3,
-                recorded * 1e3,
-                ceiling * 1e3
-            );
         }
+        let verdict = if problems.is_empty() {
+            "ok".to_string()
+        } else {
+            failed += 1;
+            format!("FAIL ({})", problems.join(", "))
+        };
         println!(
-            "megafleet/{:<8} recorded {:>9.3e}  measured {:>9.3e} server-hours/s  \
-             (floor {:>9.3e}, wall {:.3} s{build})  {verdict}",
-            r.servers,
-            r.server_hours_per_sec,
-            measured.server_hours_per_sec,
-            floor,
-            measured.wall_secs
+            "{}  recorded {:.3e}  {verdict}",
+            describe(sweep, &measured),
+            r.rate
         );
     }
-    if failed {
-        eprintln!("FAIL: megafleet scale trajectory regressed");
-        1
-    } else {
-        println!("OK: every scale point holds its throughput floor and the wall-clock cap");
-        0
-    }
-}
-
-fn throughput_guard(path: &str) -> i32 {
-    let raw = match std::fs::read_to_string(path) {
-        Ok(raw) => raw,
-        Err(err) => {
-            eprintln!("FAIL: cannot read baseline {path}: {err}");
-            eprintln!("regenerate with: cargo bench -p heb-bench --bench microbench -- --throughput-baseline {path}");
-            return 1;
-        }
-    };
-    let baseline = match heb_serve::json::parse(&raw) {
-        Ok(json) => json,
-        Err(err) => {
-            eprintln!("FAIL: baseline {path} is not valid JSON: {err}");
-            return 1;
-        }
-    };
-    let field = |name: &str| baseline.get(name).and_then(heb_serve::Json::as_f64);
-    let (Some(recorded), Some(floor_fraction)) =
-        (field("scenarios_per_sec"), field("floor_fraction"))
-    else {
-        eprintln!("FAIL: baseline {path} lacks scenarios_per_sec / floor_fraction");
-        return 1;
-    };
-    let jobs = baseline
-        .get("jobs")
-        .and_then(heb_serve::Json::as_u64)
-        .map_or(THROUGHPUT_JOBS, |j| usize::try_from(j).unwrap_or(1).max(1));
-
-    println!("engine-throughput guard: 16-scenario uncached batch, jobs={jobs}\n");
-    let (measured, _) = measure_throughput(jobs, 3);
-    let floor = recorded * floor_fraction;
-    println!("baseline  {recorded:>10.2} scenarios/s  ({path})");
-    println!("measured  {measured:>10.2} scenarios/s");
-    println!("floor     {floor:>10.2} scenarios/s  (fraction {floor_fraction})");
-    if measured < floor {
-        eprintln!("FAIL: engine throughput regressed below {floor_fraction} of baseline");
-        1
-    } else {
-        println!("OK: engine throughput within the regression floor");
-        0
-    }
+    (
+        failed == 0,
+        format!("{failed} of {} point(s) regressed", recorded.points.len()),
+    )
 }
 
 /// The sparse microbench horizon: 8 simulated hours of overnight-style
@@ -780,7 +286,7 @@ fn throughput_guard(path: &str) -> i32 {
 /// leaping side's fixed per-slot costs amortise away.
 const SPARSE_HOURS: f64 = 8.0;
 
-/// The committed speedup floor written into the baseline JSON.
+/// The speedup floor a fresh ledger records.
 const SPARSE_SPEEDUP_FLOOR: f64 = 5.0;
 
 /// A valley-heavy simulation the event driver can leap end to end:
@@ -797,15 +303,15 @@ fn sparse_sim() -> Simulation {
     .with_steady_workload(Ratio::new_clamped(0.3))
 }
 
-/// Measures the event-over-tick wall-clock speedup on the sparse trace
-/// (interleaved best-of, both sides snapshotting identical physics).
-/// Errors if the two drivers disagree on the report — the guard must
-/// never trade correctness for speed.
-fn measure_sparse_speedup(runs: usize) -> Result<(f64, f64, f64), String> {
+/// The event-over-tick wall-clock speedup on the sparse trace
+/// (interleaved best of five, both sides simulating identical
+/// physics). Fails if the two drivers disagree on the report — the
+/// guard must never trade correctness for speed.
+fn sparse_speedup_guard(ledger: &Ledger) -> Verdict {
     let ticks = (SPARSE_HOURS * 3600.0).round() as u64;
     let mut tick_best = f64::INFINITY;
     let mut event_best = f64::INFINITY;
-    for _ in 0..runs {
+    for _ in 0..5 {
         let mut dense = SimDriver::tick(sparse_sim());
         let start = Instant::now();
         let tick_report = black_box(dense.run_ticks(ticks));
@@ -817,166 +323,174 @@ fn measure_sparse_speedup(runs: usize) -> Result<(f64, f64, f64), String> {
         event_best = event_best.min(start.elapsed().as_secs_f64());
 
         if tick_report != event_report {
-            return Err("tick and event drivers disagree on the sparse report".to_string());
+            return (
+                false,
+                "tick and event drivers disagree on the sparse report".to_string(),
+            );
         }
     }
-    Ok((tick_best / event_best, tick_best, event_best))
+    let speedup = tick_best / event_best;
+    let floor = ledger.sparse_speedup_floor;
+    (
+        speedup >= floor,
+        format!(
+            "{speedup:.2}x on a {SPARSE_HOURS} h valley \
+             (tick {:.3} ms, event {:.3} ms, floor {floor}x)",
+            tick_best * 1e3,
+            event_best * 1e3
+        ),
+    )
 }
 
-fn sparse_speedup_guard(path: &str) -> i32 {
-    let floor = match std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read baseline {path}: {e}"))
-        .and_then(|raw| heb_serve::json::parse(&raw).map_err(|e| format!("baseline {path}: {e}")))
-    {
-        Ok(json) => match json
-            .get("sparse_speedup_floor")
-            .and_then(heb_serve::Json::as_f64)
-        {
-            Some(floor) => floor,
-            None => {
-                eprintln!("FAIL: baseline {path} lacks sparse_speedup_floor");
-                return 1;
+/// The NullRecorder overhead budget.
+const TELEMETRY_BUDGET: f64 = 1.05;
+
+/// Paired samples the telemetry guard takes (odd, so the median is one
+/// of them).
+const TELEMETRY_PAIRS: usize = 201;
+
+/// Attaching the default recorder explicitly must stay within the
+/// budget of the untouched simulation. Each pair builds both sides
+/// untimed, then times one control slot of each back to back, in
+/// alternating order, so drift and cache warm-up hit both sides
+/// equally; the median ratio ignores a pair a scheduler pause lands in.
+fn telemetry_guard() -> Verdict {
+    let slot_sim = || {
+        Simulation::new(
+            SimConfig::prototype().with_policy(PolicyKind::HebD),
+            &[Archetype::WebSearch, Archetype::Terasort],
+            42,
+        )
+    };
+    let mut ratios: Vec<f64> = (0..TELEMETRY_PAIRS)
+        .map(|pair| {
+            let mut attached = slot_sim();
+            attached.set_recorder(heb_telemetry::null_recorder());
+            // [plain, attached]; even pairs run the plain side first.
+            let mut sides = [SimDriver::tick(slot_sim()), SimDriver::tick(attached)];
+            let mut secs = [0.0; 2];
+            for side in [pair % 2, 1 - pair % 2] {
+                let start = Instant::now();
+                black_box(sides[side].run_ticks(600));
+                secs[side] = start.elapsed().as_secs_f64();
             }
-        },
+            secs[1] / secs[0]
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[TELEMETRY_PAIRS / 2];
+    (
+        ratio <= TELEMETRY_BUDGET,
+        format!(
+            "median ratio {ratio:.3} over {TELEMETRY_PAIRS} slot pairs (budget {TELEMETRY_BUDGET})"
+        ),
+    )
+}
+
+/// Runs every guard against the ledger at `path`.
+fn guard(path: &Path) -> i32 {
+    let ledger = match Ledger::load(path) {
+        Ok(ledger) => ledger,
         Err(err) => {
-            eprintln!("FAIL: {err}");
+            eprintln!("FAIL: {}: {err}", path.display());
             return 1;
         }
     };
-    println!("sparse-speedup guard: {SPARSE_HOURS} h steady valley, tick vs event driver\n");
-    match measure_sparse_speedup(5) {
+    let verdicts = [
+        ("telemetry overhead", telemetry_guard()),
+        ("engine throughput", throughput_guard(&ledger)),
+        ("sparse speedup", sparse_speedup_guard(&ledger)),
+        ("megafleet scale", trajectory_guard(&SCALE, &ledger)),
+        ("dense", trajectory_guard(&DENSE, &ledger)),
+    ];
+    println!("\nguards against {}:", path.display());
+    for (name, (held, detail)) in &verdicts {
+        let verdict = if *held { "ok  " } else { "FAIL" };
+        println!("  {name:<20} {verdict}  {detail}");
+    }
+    i32::from(verdicts.iter().any(|(_, (held, _))| !held))
+}
+
+/// Refreshes one section of the existing ledger at `path`: `refresh`
+/// measures it and says what it recorded.
+fn record(path: &Path, refresh: impl FnOnce(&mut Ledger) -> String) -> i32 {
+    let mut ledger = match Ledger::load(path) {
+        Ok(ledger) => ledger,
         Err(err) => {
-            eprintln!("FAIL: {err}");
+            eprintln!("FAIL: {}: {err}", path.display());
+            return 1;
+        }
+    };
+    let what = refresh(&mut ledger);
+    match std::fs::write(path, ledger.render()) {
+        Ok(()) => {
+            println!("{what} -> {}", path.display());
+            0
+        }
+        Err(err) => {
+            eprintln!("FAIL: cannot write {}: {err}", path.display());
             1
         }
-        Ok((speedup, tick, event)) => {
-            println!("tick driver   {:>10.3} ms  (dense, best of 5)", tick * 1e3);
-            println!(
-                "event driver  {:>10.3} ms  (leaping, best of 5)",
-                event * 1e3
-            );
-            println!("speedup       {speedup:>10.2} x  (floor {floor} x, {path})");
-            if speedup < floor {
-                eprintln!("FAIL: event-mode speedup fell below the {floor}x floor");
-                1
-            } else {
-                println!("OK: event mode holds the sparse-workload speedup floor");
-                0
-            }
-        }
     }
 }
 
-/// Best per-iteration seconds for one full control slot, with or
-/// without an explicitly attached `NullRecorder`.
-fn slot_latency(attach_null: bool, runs: usize, iters: u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let start = Instant::now();
-        for _ in 0..iters {
-            let mut sim = Simulation::new(
-                SimConfig::prototype().with_policy(PolicyKind::HebD),
-                &[Archetype::WebSearch, Archetype::Terasort],
-                42,
-            );
-            if attach_null {
-                sim.set_recorder(heb_telemetry::null_recorder());
-            }
-            black_box(SimDriver::tick(sim).run_ticks(600));
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
+fn throughput_baseline(ledger: &mut Ledger) -> String {
+    let scenarios_per_sec = measure_throughput(THROUGHPUT_JOBS);
+    ledger.batch_size = THROUGHPUT_BATCH as u64;
+    ledger.jobs = THROUGHPUT_JOBS as u64;
+    ledger.best_of = THROUGHPUT_RUNS as u64;
+    ledger.scenarios_per_sec = scenarios_per_sec;
+    ledger.floor_fraction = FLOOR_FRACTION;
+    ledger.sparse_speedup_floor = SPARSE_SPEEDUP_FLOOR;
+    format!("throughput baseline: {scenarios_per_sec:.2} scenarios/s")
 }
 
-/// The NullRecorder overhead budget: attaching the default recorder
-/// explicitly must stay within 5 % of the untouched simulation. The
-/// sides are interleaved (A, B, A, B, …) so frequency drift and cache
-/// warm-up hit both equally; each side keeps its own best-of estimate.
-fn telemetry_guard() -> i32 {
-    println!("telemetry-overhead guard: slot loop, default vs attached NullRecorder\n");
-    let (runs, iters) = (6, 8);
-    let mut baseline = f64::INFINITY;
-    let mut with_null = f64::INFINITY;
-    for _ in 0..runs {
-        baseline = baseline.min(slot_latency(false, 1, iters));
-        with_null = with_null.min(slot_latency(true, 1, iters));
-    }
-    let ratio = with_null / baseline;
-    println!("baseline      {:>10.3} ms/slot", baseline * 1e3);
-    println!("null recorder {:>10.3} ms/slot", with_null * 1e3);
-    println!("ratio         {ratio:>10.3}  (budget 1.05)");
-    if ratio > 1.05 {
-        eprintln!("FAIL: NullRecorder overhead exceeds the 5 % budget");
-        1
-    } else {
-        println!("OK: NullRecorder within the overhead budget");
-        0
-    }
+fn sweep(sweep: &Sweep, ledger: &mut Ledger) -> String {
+    let points: Vec<Point> = sweep
+        .sizes
+        .iter()
+        .map(|&servers| {
+            let p = measure(sweep, servers as u64);
+            println!("{}", describe(sweep, &p));
+            p
+        })
+        .collect();
+    let what = format!("{} trajectory ({} points)", sweep.ledger.key, points.len());
+    ledger.sections.insert(
+        sweep.ledger.key,
+        Section {
+            horizon: sweep.horizon,
+            floor_fraction: FLOOR_FRACTION,
+            max_wall_secs: sweep.max_wall_secs,
+            points,
+        },
+    );
+    what
 }
 
 fn main() {
+    const MODES: [&str; 4] = [
+        "--guard",
+        "--throughput-baseline",
+        "--scale-sweep",
+        "--dense-sweep",
+    ];
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--telemetry-guard") {
-        std::process::exit(telemetry_guard());
-    }
+    let Some(at) = argv.iter().position(|a| MODES.contains(&a.as_str())) else {
+        eprintln!("usage: microbench {{{}}} LEDGER_PATH", MODES.join("|"));
+        std::process::exit(2);
+    };
     // `cargo bench` may append its own flags; a following `--flag` is
     // not a path operand.
-    let value_of = |flag: &str| {
-        argv.iter()
-            .position(|a| a == flag)
-            .map(|at| argv.get(at + 1).filter(|v| !v.starts_with("--")).cloned())
+    let Some(path) = argv.get(at + 1).filter(|v| !v.starts_with("--")) else {
+        eprintln!("{} needs the ledger's path", argv[at]);
+        std::process::exit(2);
     };
-    if let Some(path) = value_of("--throughput-baseline") {
-        let path = path.unwrap_or_else(|| "BENCH_engine_throughput.json".to_string());
-        std::process::exit(throughput_baseline(&path));
-    }
-    if let Some(path) = value_of("--throughput-guard") {
-        let Some(path) = path else {
-            eprintln!("--throughput-guard needs a baseline path");
-            std::process::exit(2);
-        };
-        std::process::exit(throughput_guard(&path));
-    }
-    if let Some(path) = value_of("--sparse-speedup-guard") {
-        let path = path.unwrap_or_else(|| "BENCH_engine_throughput.json".to_string());
-        std::process::exit(sparse_speedup_guard(&path));
-    }
-    if let Some(path) = value_of("--scale-sweep") {
-        let path = path.unwrap_or_else(|| "BENCH_engine_throughput.json".to_string());
-        std::process::exit(scale_sweep(&path));
-    }
-    if let Some(path) = value_of("--dense-sweep") {
-        let path = path.unwrap_or_else(|| "BENCH_engine_throughput.json".to_string());
-        std::process::exit(dense_sweep(&path));
-    }
-    if let Some(path) = value_of("--dense-guard") {
-        let Some(path) = path else {
-            eprintln!("--dense-guard needs a baseline path");
-            std::process::exit(2);
-        };
-        std::process::exit(dense_guard(&path));
-    }
-    if let Some(path) = value_of("--scale-guard") {
-        let Some(path) = path else {
-            eprintln!("--scale-guard needs a baseline path");
-            std::process::exit(2);
-        };
-        std::process::exit(scale_guard(&path));
-    }
-    println!("HEB micro-benchmarks (best-of-runs per-iteration latency)\n");
-    bench_pat();
-    bench_forecast();
-    bench_devices();
-    bench_simulation();
-    bench_fleet_engine();
-    match measure_sparse_speedup(3) {
-        Ok((speedup, tick, event)) => println!(
-            "{:<40} {speedup:>10.2} x  (tick {:.2} ms vs event {:.2} ms)",
-            "sim/sparse_event_speedup",
-            tick * 1e3,
-            event * 1e3
-        ),
-        Err(err) => println!("sim/sparse_event_speedup: {err}"),
-    }
+    let path = Path::new(path);
+    std::process::exit(match argv[at].as_str() {
+        "--guard" => guard(path),
+        "--throughput-baseline" => record(path, throughput_baseline),
+        "--scale-sweep" => record(path, |ledger| sweep(&SCALE, ledger)),
+        _ => record(path, |ledger| sweep(&DENSE, ledger)),
+    });
 }

@@ -6,11 +6,15 @@
 //! The binaries are deliberately thin: all experiment logic lives in
 //! `heb_core::experiments` so that the integration tests exercise the
 //! exact same code paths.
+//!
+//! [`ledger`] is the codec of `BENCH_engine_throughput.json`, the
+//! ledger the `microbench` guards and sweeps read and write.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod ledger;
 
 use std::fs;
 use std::path::Path;
