@@ -19,11 +19,11 @@ pub struct Trajectory {
     /// Key of the point array.
     pub key: &'static str,
     /// Key of the simulated horizon every point shares.
-    pub horizon_key: &'static str,
+    horizon_key: &'static str,
     /// Key of the fraction of a recorded rate a guard run must reach.
-    pub floor_key: &'static str,
+    floor_key: &'static str,
     /// Key of the wall-clock cap on the largest point, if it has one.
-    pub cap_key: Option<&'static str>,
+    cap_key: Option<&'static str>,
     /// Key of each point's throughput.
     pub rate_field: &'static str,
 }
@@ -47,10 +47,10 @@ pub const DENSE: Trajectory = Trajectory {
 };
 
 /// Every trajectory, in ledger order.
-pub const TRAJECTORIES: [Trajectory; 2] = [SCALE, DENSE];
+const TRAJECTORIES: [Trajectory; 2] = [SCALE, DENSE];
 
 /// One recorded (or freshly measured) trajectory point.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Point {
     /// Fleet size.
     pub servers: u64,
@@ -64,7 +64,7 @@ pub struct Point {
 
 /// One recorded trajectory: the header its points share, and the
 /// points.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Section {
     /// Simulated horizon of every point (hours or ticks).
     pub horizon: f64,
@@ -77,7 +77,7 @@ pub struct Section {
 }
 
 /// The whole ledger.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Ledger {
     /// Scenarios in the engine-throughput batch.
     pub batch_size: u64,
