@@ -41,7 +41,7 @@ use std::time::Instant;
 
 use heb_bench::ledger::{self, Ledger, Point, Section, Trajectory};
 use heb_core::experiments::{megafleet_scenario, MEGAFLEET_SCALES};
-use heb_core::{DriverMode, PolicyKind, Scenario, SimConfig, SimDriver, Simulation};
+use heb_core::{DriverMode, PolicyKind, Scenario, SimConfig, SimDriver};
 use heb_fleet::{FleetEngine, RunPolicy};
 use heb_units::{Joules, Ratio, Seconds, Watts};
 use heb_workload::Archetype;
@@ -291,16 +291,21 @@ const SPARSE_SPEEDUP_FLOOR: f64 = 5.0;
 
 /// A valley-heavy simulation the event driver can leap end to end:
 /// generous budget (utility mode throughout), steady 30 % load, no
-/// faults, noiseless metering.
-fn sparse_sim() -> Simulation {
-    Simulation::new(
+/// faults, noiseless metering — built, not yet run, on `mode`'s driver.
+fn sparse_driver(mode: DriverMode) -> SimDriver {
+    Scenario::new(
+        "sparse",
         SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(2000.0)),
         &[Archetype::WordCount],
+        SPARSE_HOURS,
         42,
     )
     .with_steady_workload(Ratio::new_clamped(0.3))
+    .with_driver_mode(mode)
+    .build_driver()
+    .expect("the sparse scenario is valid")
 }
 
 /// The event-over-tick wall-clock speedup on the sparse trace
@@ -312,12 +317,12 @@ fn sparse_speedup_guard(ledger: &Ledger) -> Verdict {
     let mut tick_best = f64::INFINITY;
     let mut event_best = f64::INFINITY;
     for _ in 0..5 {
-        let mut dense = SimDriver::tick(sparse_sim());
+        let mut dense = sparse_driver(DriverMode::Tick);
         let start = Instant::now();
         let tick_report = black_box(dense.run_ticks(ticks));
         tick_best = tick_best.min(start.elapsed().as_secs_f64());
 
-        let mut leaping = SimDriver::event(sparse_sim());
+        let mut leaping = sparse_driver(DriverMode::Event);
         let start = Instant::now();
         let event_report = black_box(leaping.run_ticks(ticks));
         event_best = event_best.min(start.elapsed().as_secs_f64());
@@ -355,19 +360,19 @@ const TELEMETRY_PAIRS: usize = 201;
 /// alternating order, so drift and cache warm-up hit both sides
 /// equally; the median ratio ignores a pair a scheduler pause lands in.
 fn telemetry_guard() -> Verdict {
-    let slot_sim = || {
-        Simulation::new(
-            SimConfig::prototype().with_policy(PolicyKind::HebD),
-            &[Archetype::WebSearch, Archetype::Terasort],
-            42,
-        )
-    };
+    let plain = Scenario::from_ticks(
+        "telemetry",
+        SimConfig::prototype().with_policy(PolicyKind::HebD),
+        &[Archetype::WebSearch, Archetype::Terasort],
+        600,
+        42,
+    );
+    let attached = plain.clone().with_recorder(heb_telemetry::null_recorder());
+    let driver = |s: &Scenario| s.build_driver().expect("the slot scenario is valid");
     let mut ratios: Vec<f64> = (0..TELEMETRY_PAIRS)
         .map(|pair| {
-            let mut attached = slot_sim();
-            attached.set_recorder(heb_telemetry::null_recorder());
             // [plain, attached]; even pairs run the plain side first.
-            let mut sides = [SimDriver::tick(slot_sim()), SimDriver::tick(attached)];
+            let mut sides = [driver(&plain), driver(&attached)];
             let mut secs = [0.0; 2];
             for side in [pair % 2, 1 - pair % 2] {
                 let start = Instant::now();

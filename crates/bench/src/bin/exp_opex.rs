@@ -4,7 +4,7 @@
 
 use heb_bench::cli::BenchArgs;
 use heb_bench::{print_table, Figure, Series};
-use heb_core::{PolicyKind, SimConfig, SimDriver, Simulation};
+use heb_core::{PolicyKind, Scenario, SimConfig};
 use heb_tco::{bill_run, Tariff};
 use heb_units::{Joules, Watts};
 use heb_workload::Archetype;
@@ -29,8 +29,14 @@ fn main() {
     let mut rows = Vec::new();
     let mut totals = Vec::new();
     for (idx, policy) in PolicyKind::ALL.into_iter().enumerate() {
-        let sim = Simulation::new(base.clone().with_policy(policy), &mix, cli.seed);
-        let report = SimDriver::tick(sim).run_for_hours(hours);
+        let report = Scenario::new(
+            policy.name(),
+            base.clone().with_policy(policy),
+            &mix,
+            hours,
+            cli.seed,
+        )
+        .run_expect();
         let bill = bill_run(
             &tariff,
             report.utility_supplied,

@@ -1,6 +1,5 @@
 //! Simulation and controller configuration.
 
-use crate::errors::SimError;
 use crate::policy::PolicyKind;
 use heb_powersys::Topology;
 use heb_units::{Joules, Ratio, Seconds, Watts};
@@ -84,7 +83,9 @@ impl SimConfig {
     ///
     /// Unlike mutating the public fields directly, the builder
     /// range-checks every knob in [`SimConfigBuilder::build`] and
-    /// reports the offending value instead of clamping or panicking.
+    /// reports the offending value instead of clamping or panicking;
+    /// [`Scenario::build`](crate::Scenario::build) runs the same checks
+    /// on a config assembled by hand.
     #[must_use]
     pub fn builder() -> SimConfigBuilder {
         SimConfigBuilder::default()
@@ -149,56 +150,65 @@ impl SimConfig {
     }
 
     /// Validates internal consistency, reporting the first field that
-    /// is outside its meaningful range.
+    /// is outside its meaningful range — the one check every
+    /// configuration passes, whether it came from
+    /// [`SimConfigBuilder::build`] or from editing the public fields.
     ///
     /// # Errors
     ///
-    /// Returns the corresponding [`SimError`] for the invalid field.
-    pub fn try_validate(&self) -> Result<(), SimError> {
+    /// Returns the first [`ConfigError`] encountered, checked in field
+    /// declaration order (the tick before the slot that must span it).
+    /// Every float check is written so that NaN fails it.
+    pub fn try_validate(&self) -> Result<(), ConfigError> {
+        let positive = |v: f64| v > 0.0;
+        let non_negative = |v: f64| v >= 0.0;
+        let fraction = |v: f64| (0.0..=1.0).contains(&v);
         if self.servers == 0 {
-            return Err(SimError::NoServers);
+            return Err(ConfigError::NoServers);
         }
-        if self.budget.get() < 0.0 {
-            return Err(SimError::NegativeBudget);
+        if !non_negative(self.budget.get()) {
+            return Err(ConfigError::NegativeBudget(self.budget.get()));
         }
-        if self.total_capacity.get() <= 0.0 {
-            return Err(SimError::NonPositiveCapacity);
+        if !positive(self.total_capacity.get()) {
+            return Err(ConfigError::NonPositiveCapacity(self.total_capacity.get()));
         }
-        if self.tick.get() <= 0.0 {
-            return Err(SimError::NonPositiveTick);
+        if !fraction(self.sc_fraction.get()) {
+            return Err(ConfigError::ScFractionOutOfRange(self.sc_fraction.get()));
         }
-        if self.slot_length.get() < self.tick.get() {
-            return Err(SimError::SlotShorterThanTick);
+        if !(positive(self.dod_limit.get()) && fraction(self.dod_limit.get())) {
+            return Err(ConfigError::DodLimitOutOfRange(self.dod_limit.get()));
         }
-        if self.small_peak_threshold.get() < 0.0 {
-            return Err(SimError::NegativeSmallPeakThreshold);
+        if !(positive(self.tick.get()) && self.tick.get().is_finite()) {
+            return Err(ConfigError::NonPositiveTick(self.tick.get()));
+        }
+        let slot = self.slot_length.get();
+        if slot.is_nan() || slot < self.tick.get() {
+            return Err(ConfigError::SlotShorterThanTick {
+                slot,
+                tick: self.tick.get(),
+            });
+        }
+        if !non_negative(self.small_peak_threshold.get()) {
+            return Err(ConfigError::NegativeSmallPeakThreshold(
+                self.small_peak_threshold.get(),
+            ));
+        }
+        if !(positive(self.delta_r.get()) && fraction(self.delta_r.get())) {
+            return Err(ConfigError::DeltaROutOfRange(self.delta_r.get()));
+        }
+        if !(positive(self.pat_energy_bucket.get()) && positive(self.pat_power_bucket.get())) {
+            return Err(ConfigError::NonPositivePatBucket);
         }
         if self.forecast_period < 2 {
-            return Err(SimError::ForecastPeriodTooShort);
+            return Err(ConfigError::ForecastPeriodTooShort(self.forecast_period));
         }
-        if self.metering_noise < 0.0 {
-            return Err(SimError::NegativeMeteringNoise);
-        }
-        if self.pat_energy_bucket.get() <= 0.0 || self.pat_power_bucket.get() <= 0.0 {
-            return Err(SimError::NonPositivePatBucket);
+        if !non_negative(self.metering_noise) {
+            return Err(ConfigError::NegativeMeteringNoise(self.metering_noise));
         }
         if self.battery_strings == 0 {
-            return Err(SimError::NoBatteryStrings);
+            return Err(ConfigError::NoBatteryStrings);
         }
         Ok(())
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a field is outside its meaningful range; the message
-    /// is the [`SimError`] display string.
-    pub fn validate(&self) {
-        if let Err(err) = self.try_validate() {
-            // heb-analyze: allow(HEB003, documented panicking twin of try_validate; should_panic tests pin the message)
-            panic!("{err}");
-        }
     }
 }
 
@@ -224,7 +234,7 @@ pub enum ConfigError {
     ScFractionOutOfRange(f64),
     /// The depth-of-discharge limit is outside `(0, 1]`.
     DodLimitOutOfRange(f64),
-    /// The metering tick is zero or negative (seconds).
+    /// The metering tick is zero, negative or not finite (seconds).
     NonPositiveTick(f64),
     /// The control slot is shorter than one metering tick.
     SlotShorterThanTick {
@@ -264,7 +274,7 @@ impl core::fmt::Display for ConfigError {
                 write!(f, "dod_limit must be within (0, 1], got {v}")
             }
             ConfigError::NonPositiveTick(s) => {
-                write!(f, "tick must be positive, got {s} s")
+                write!(f, "tick must be positive and finite, got {s} s")
             }
             ConfigError::SlotShorterThanTick { slot, tick } => {
                 write!(
@@ -292,37 +302,12 @@ impl core::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builder errors collapse onto the matching [`SimError`] variants
-/// (dropping the embedded values), so a `main` returning
-/// `Result<(), SimError>` can `?` both layers.
-impl From<ConfigError> for SimError {
-    fn from(err: ConfigError) -> Self {
-        match err {
-            ConfigError::NoServers => SimError::NoServers,
-            ConfigError::NegativeBudget(_) => SimError::NegativeBudget,
-            ConfigError::NonPositiveCapacity(_) => SimError::NonPositiveCapacity,
-            ConfigError::ScFractionOutOfRange(_) => SimError::ScFractionOutOfRange,
-            ConfigError::DodLimitOutOfRange(_) => SimError::DodLimitOutOfRange,
-            ConfigError::NonPositiveTick(_) => SimError::NonPositiveTick,
-            ConfigError::SlotShorterThanTick { .. } => SimError::SlotShorterThanTick,
-            ConfigError::NegativeSmallPeakThreshold(_) => SimError::NegativeSmallPeakThreshold,
-            ConfigError::DeltaROutOfRange(_) => SimError::DeltaROutOfRange,
-            ConfigError::NonPositivePatBucket => SimError::NonPositivePatBucket,
-            ConfigError::ForecastPeriodTooShort(_) => SimError::ForecastPeriodTooShort,
-            ConfigError::NegativeMeteringNoise(_) => SimError::NegativeMeteringNoise,
-            ConfigError::NoBatteryStrings => SimError::NoBatteryStrings,
-        }
-    }
-}
-
 /// A validating constructor for [`SimConfig`].
 ///
-/// Ratios are staged as raw `f64` and range-checked in [`build`]
-/// *before* any [`Ratio`] is constructed — `Ratio::new_clamped` would
+/// Ratios are staged as raw `f64` and reach
+/// [`SimConfig::try_validate`] unclamped — `Ratio::new_clamped` would
 /// otherwise silently pin an out-of-range `sc_fraction` or `dod_limit`
 /// to the nearest bound instead of reporting the mistake.
-///
-/// [`build`]: SimConfigBuilder::build
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfigBuilder {
     servers: usize,
@@ -486,79 +471,37 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Validates the staged fields and assembles the configuration.
+    /// Assembles the configuration and validates it with
+    /// [`SimConfig::try_validate`].
     ///
     /// # Errors
     ///
     /// Returns the first [`ConfigError`] encountered, checked in field
-    /// declaration order. NaN values are rejected explicitly alongside
-    /// the range checks.
+    /// declaration order; an out-of-range ratio is reported with its
+    /// raw value.
     pub fn build(self) -> Result<SimConfig, ConfigError> {
-        let out_of = |v: f64, lo_open: f64, hi: f64| v.is_nan() || v <= lo_open || v > hi;
-        if self.servers == 0 {
-            return Err(ConfigError::NoServers);
-        }
-        if self.budget.get().is_nan() || self.budget.get() < 0.0 {
-            return Err(ConfigError::NegativeBudget(self.budget.get()));
-        }
-        if self.total_capacity.get().is_nan() || self.total_capacity.get() <= 0.0 {
-            return Err(ConfigError::NonPositiveCapacity(self.total_capacity.get()));
-        }
-        if !(0.0..=1.0).contains(&self.sc_fraction) {
-            return Err(ConfigError::ScFractionOutOfRange(self.sc_fraction));
-        }
-        if out_of(self.dod_limit, 0.0, 1.0) {
-            return Err(ConfigError::DodLimitOutOfRange(self.dod_limit));
-        }
-        if self.tick.get().is_nan() || self.tick.get() <= 0.0 {
-            return Err(ConfigError::NonPositiveTick(self.tick.get()));
-        }
-        if self.slot_length.get().is_nan() || self.slot_length.get() < self.tick.get() {
-            return Err(ConfigError::SlotShorterThanTick {
-                slot: self.slot_length.get(),
-                tick: self.tick.get(),
-            });
-        }
-        if self.small_peak_threshold.get().is_nan() || self.small_peak_threshold.get() < 0.0 {
-            return Err(ConfigError::NegativeSmallPeakThreshold(
-                self.small_peak_threshold.get(),
-            ));
-        }
-        if out_of(self.delta_r, 0.0, 1.0) {
-            return Err(ConfigError::DeltaROutOfRange(self.delta_r));
-        }
-        if out_of(self.pat_energy_bucket.get(), 0.0, f64::INFINITY)
-            || out_of(self.pat_power_bucket.get(), 0.0, f64::INFINITY)
-        {
-            return Err(ConfigError::NonPositivePatBucket);
-        }
-        if self.forecast_period < 2 {
-            return Err(ConfigError::ForecastPeriodTooShort(self.forecast_period));
-        }
-        if self.metering_noise.is_nan() || self.metering_noise < 0.0 {
-            return Err(ConfigError::NegativeMeteringNoise(self.metering_noise));
-        }
-        if self.battery_strings == 0 {
-            return Err(ConfigError::NoBatteryStrings);
-        }
-        Ok(SimConfig {
+        // Unclamped, so validation sees (and reports) the raw fractions;
+        // a config that passes holds them within range unchanged.
+        let config = SimConfig {
             servers: self.servers,
             budget: self.budget,
             total_capacity: self.total_capacity,
-            sc_fraction: Ratio::new_clamped(self.sc_fraction),
-            dod_limit: Ratio::new_clamped(self.dod_limit),
+            sc_fraction: Ratio::new_unclamped(self.sc_fraction),
+            dod_limit: Ratio::new_unclamped(self.dod_limit),
             slot_length: self.slot_length,
             tick: self.tick,
             policy: self.policy,
             small_peak_threshold: self.small_peak_threshold,
-            delta_r: Ratio::new_clamped(self.delta_r),
+            delta_r: Ratio::new_unclamped(self.delta_r),
             pat_energy_bucket: self.pat_energy_bucket,
             pat_power_bucket: self.pat_power_bucket,
             forecast_period: self.forecast_period,
             topology: self.topology,
             metering_noise: self.metering_noise,
             battery_strings: self.battery_strings,
-        })
+        };
+        config.try_validate()?;
+        Ok(config)
     }
 }
 
@@ -568,7 +511,7 @@ mod tests {
 
     #[test]
     fn prototype_is_valid() {
-        SimConfig::prototype().validate();
+        assert_eq!(SimConfig::prototype().try_validate(), Ok(()));
     }
 
     #[test]
@@ -587,45 +530,62 @@ mod tests {
         assert_eq!(c.sc_fraction, Ratio::HALF);
         assert_eq!(c.budget, Watts::new(200.0));
         assert_eq!(c.total_capacity, Joules::from_watt_hours(300.0));
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn zero_servers_invalid() {
-        let mut c = SimConfig::prototype();
-        c.servers = 0;
-        c.validate();
+        assert_eq!(c.try_validate(), Ok(()));
     }
 
     #[test]
     fn try_validate_reports_typed_errors() {
-        use crate::errors::SimError;
-        assert_eq!(SimConfig::prototype().try_validate(), Ok(()));
-        let mut c = SimConfig::prototype();
-        c.battery_strings = 0;
-        assert_eq!(c.try_validate(), Err(SimError::NoBatteryStrings));
-        let mut c = SimConfig::prototype();
-        c.budget = Watts::new(-1.0);
-        assert_eq!(c.try_validate(), Err(SimError::NegativeBudget));
-        let mut c = SimConfig::prototype();
-        c.forecast_period = 1;
-        assert_eq!(c.try_validate(), Err(SimError::ForecastPeriodTooShort));
+        type Edit = fn(&mut SimConfig);
+        // Errors compare by their debug form, so a NaN payload matches.
+        let cases: [(Edit, &str); 13] = [
+            (|c| c.servers = 0, "NoServers"),
+            (|c| c.battery_strings = 0, "NoBatteryStrings"),
+            (|c| c.budget = Watts::new(-1.0), "NegativeBudget(-1.0)"),
+            (|c| c.forecast_period = 1, "ForecastPeriodTooShort(1)"),
+            (
+                |c| c.slot_length = Seconds::new(0.5),
+                "SlotShorterThanTick { slot: 0.5, tick: 1.0 }",
+            ),
+            // A stored ratio of zero is in range for the SC share but
+            // not for the DoD limit or the PAT step.
+            (|c| c.dod_limit = Ratio::ZERO, "DodLimitOutOfRange(0.0)"),
+            (|c| c.delta_r = Ratio::ZERO, "DeltaROutOfRange(0.0)"),
+            (
+                |c| c.sc_fraction = Ratio::new_unclamped(1.5),
+                "ScFractionOutOfRange(1.5)",
+            ),
+            // Each of these once passed validation and then panicked
+            // inside the clock, the meter or the PAT.
+            (|c| c.tick = Seconds::new(f64::NAN), "NonPositiveTick(NaN)"),
+            (
+                |c| {
+                    c.tick = Seconds::new(f64::INFINITY);
+                    c.slot_length = Seconds::new(f64::INFINITY);
+                },
+                "NonPositiveTick(inf)",
+            ),
+            (|c| c.budget = Watts::new(f64::NAN), "NegativeBudget(NaN)"),
+            (
+                |c| c.metering_noise = f64::NAN,
+                "NegativeMeteringNoise(NaN)",
+            ),
+            (
+                |c| c.pat_power_bucket = Watts::new(f64::NAN),
+                "NonPositivePatBucket",
+            ),
+        ];
+        for (edit, expected) in cases {
+            let mut c = SimConfig::prototype();
+            edit(&mut c);
+            assert_eq!(format!("{:?}", c.try_validate().unwrap_err()), expected);
+        }
     }
 
     #[test]
     fn battery_strings_builder() {
         let c = SimConfig::prototype().with_battery_strings(3);
         assert_eq!(c.battery_strings, 3);
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "slot must span")]
-    fn sub_tick_slot_invalid() {
-        let mut c = SimConfig::prototype();
-        c.slot_length = Seconds::new(0.5);
-        c.validate();
+        assert_eq!(c.try_validate(), Ok(()));
     }
 
     #[test]
@@ -670,7 +630,7 @@ mod tests {
         assert_eq!(c.topology, Topology::heb_cluster_level());
         assert_eq!(c.metering_noise, 0.01);
         assert_eq!(c.battery_strings, 4);
-        c.validate();
+        assert_eq!(c.try_validate(), Ok(()));
     }
 
     #[test]
@@ -735,23 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn config_errors_collapse_onto_sim_errors() {
-        assert_eq!(
-            SimError::from(ConfigError::NegativeBudget(-5.0)),
-            SimError::NegativeBudget
-        );
-        assert_eq!(
-            SimError::from(ConfigError::ScFractionOutOfRange(2.0)),
-            SimError::ScFractionOutOfRange
-        );
-        assert_eq!(
-            SimError::from(ConfigError::SlotShorterThanTick {
-                slot: 0.5,
-                tick: 1.0
-            }),
-            SimError::SlotShorterThanTick
-        );
-        // The builder error keeps the offending value in its message.
+    fn builder_errors_keep_the_offending_value() {
         let msg = ConfigError::DodLimitOutOfRange(1.7).to_string();
         assert!(msg.contains("(0, 1]") && msg.contains("1.7"), "{msg}");
     }

@@ -1,87 +1,45 @@
 //! Typed construction-time errors for the simulation stack.
 //!
-//! [`SimConfig::try_validate`](crate::SimConfig::try_validate) and
-//! [`Simulation::try_new`](crate::Simulation::try_new) return these
-//! instead of panicking, so library callers (CLI flag parsing, sweep
-//! harnesses) can report bad inputs gracefully. The panicking
-//! constructors remain as thin wrappers whose messages are exactly the
-//! [`Display`](core::fmt::Display) strings below.
+//! [`Scenario::build`](crate::Scenario::build) — the one way to
+//! construct a [`Simulation`](crate::Simulation) — returns these instead
+//! of panicking, so library callers (CLI flag parsing, sweep harnesses,
+//! the fleet engine) can report bad inputs gracefully. A configuration
+//! that fails [`SimConfig::try_validate`](crate::SimConfig::try_validate)
+//! arrives as [`SimError::Config`], carrying the offending value.
+
+use crate::config::ConfigError;
 
 /// Why a simulation could not be constructed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
+    /// The configuration failed validation.
+    Config(ConfigError),
     /// The workload list was empty.
     NoWorkloads,
-    /// The configured rack has zero servers.
-    NoServers,
-    /// The metering tick is zero or negative.
-    NonPositiveTick,
-    /// The control slot is shorter than one metering tick.
-    SlotShorterThanTick,
-    /// The total buffer capacity is zero or negative.
-    NonPositiveCapacity,
-    /// The utility budget is negative.
-    NegativeBudget,
-    /// The Holt-Winters seasonal period is below two slots.
-    ForecastPeriodTooShort,
-    /// The IPDU noise sigma is negative.
-    NegativeMeteringNoise,
-    /// A PAT bucket width is zero or negative.
-    NonPositivePatBucket,
-    /// The small-peak threshold is negative.
-    NegativeSmallPeakThreshold,
-    /// The battery pool was configured with zero strings.
-    NoBatteryStrings,
     /// A solar trace with no samples was supplied.
     EmptySolarTrace,
-    /// The SC capacity fraction is outside `[0, 1]`.
-    ScFractionOutOfRange,
-    /// The depth-of-discharge limit is outside `(0, 1]`.
-    DodLimitOutOfRange,
-    /// The PAT self-optimisation step `Δr` is outside `(0, 1]`.
-    DeltaROutOfRange,
-    /// A metering history window of zero samples.
-    EmptyMeterWindow,
 }
 
 impl core::fmt::Display for SimError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let msg = match self {
-            SimError::NoWorkloads => "need at least one workload",
-            SimError::NoServers => "need at least one server",
-            SimError::NonPositiveTick => "tick must be positive",
-            SimError::SlotShorterThanTick => "slot must span at least one tick",
-            SimError::NonPositiveCapacity => "buffer capacity must be positive",
-            SimError::NegativeBudget => "budget must be non-negative",
-            SimError::ForecastPeriodTooShort => "forecast period must be >= 2",
-            SimError::NegativeMeteringNoise => "metering noise must be non-negative",
-            SimError::NonPositivePatBucket => "PAT bucket widths must be positive",
-            SimError::NegativeSmallPeakThreshold => "threshold must be non-negative",
-            SimError::NoBatteryStrings => "need at least one battery string",
-            SimError::EmptySolarTrace => "solar trace must contain at least one sample",
-            SimError::ScFractionOutOfRange => "sc_fraction must be within [0, 1]",
-            SimError::DodLimitOutOfRange => "dod_limit must be within (0, 1]",
-            SimError::DeltaROutOfRange => "delta_r must be within (0, 1]",
-            SimError::EmptyMeterWindow => "history window must be non-empty",
-        };
-        f.write_str(msg)
+        match self {
+            SimError::Config(err) => err.fmt(f),
+            SimError::NoWorkloads => f.write_str("need at least one workload"),
+            SimError::EmptySolarTrace => {
+                f.write_str("solar trace must contain at least one sample")
+            }
+        }
     }
 }
 
 impl std::error::Error for SimError {}
 
-/// Power-system construction failures map onto the matching simulation
-/// errors, so callers assembling a stack can `?` across the crate
-/// boundary instead of unwrapping intermediate error types ad hoc.
-impl From<heb_powersys::PowerSysError> for SimError {
-    fn from(err: heb_powersys::PowerSysError) -> Self {
-        use heb_powersys::PowerSysError;
-        match err {
-            PowerSysError::NegativeBudget => SimError::NegativeBudget,
-            PowerSysError::EmptyMeterWindow => SimError::EmptyMeterWindow,
-            PowerSysError::NegativeNoise => SimError::NegativeMeteringNoise,
-        }
+/// A configuration error is a simulation error, so a `main` returning
+/// `Result<(), SimError>` can `?` both layers.
+impl From<ConfigError> for SimError {
+    fn from(err: ConfigError) -> Self {
+        SimError::Config(err)
     }
 }
 
@@ -90,11 +48,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_strings_match_panic_messages() {
-        // The panicking constructors format these errors verbatim, so
-        // the strings are load-bearing for `should_panic(expected)`
-        // tests downstream.
-        assert_eq!(SimError::NoServers.to_string(), "need at least one server");
+    fn config_errors_wrap_with_their_values() {
+        let err = SimError::from(ConfigError::NegativeBudget(-5.0));
+        assert_eq!(err, SimError::Config(ConfigError::NegativeBudget(-5.0)));
+        assert_eq!(err.to_string(), "budget must be non-negative, got -5 W");
         assert_eq!(
             SimError::EmptySolarTrace.to_string(),
             "solar trace must contain at least one sample"

@@ -24,14 +24,17 @@
 //!
 //! # Driver modes
 //!
-//! [`SimDriver::tick`] is the compatibility adapter: a plain loop that
+//! [`DriverMode::Tick`] is the compatibility adapter: a plain loop that
 //! calls [`Simulation::step`] once per tick, reproducing the legacy
 //! fixed loop exactly — golden traces and fleet cache hashes are
 //! unchanged.
-//! [`SimDriver::event`] runs the leap loop: it offers the rest of the
+//! [`DriverMode::Event`] runs the leap loop: it offers the rest of the
 //! horizon to `Simulation::try_leap` each iteration and falls back
 //! to [`Simulation::step`] whenever the leap refuses — so it is exact
-//! by construction and fast only where fast is free.
+//! by construction and fast only where fast is free. A
+//! [`Scenario`](crate::Scenario) picks the mode
+//! ([`Scenario::with_driver_mode`](crate::Scenario::with_driver_mode))
+//! and builds the driver.
 
 use crate::metrics::SimReport;
 use crate::sim::Simulation;
@@ -122,19 +125,19 @@ pub enum DriverMode {
 ///
 /// This replaces hand-rolled `Simulation::step()` loops as the one way
 /// runs are driven — serial experiments, the fleet engine, and the
-/// serve path all construct one of these (see
-/// [`Scenario::build_driver`](crate::Scenario::build_driver)).
+/// serve path all obtain one from
+/// [`Scenario::build_driver`](crate::Scenario::build_driver).
 ///
 /// # Examples
 ///
 /// ```
-/// use heb_core::{DriverMode, SimConfig, SimDriver, Simulation};
+/// use heb_core::{DriverMode, Scenario, SimConfig};
 /// use heb_workload::Archetype;
 ///
-/// let sim = Simulation::new(SimConfig::prototype(), &[Archetype::WebSearch], 7);
-/// let mut driver = SimDriver::tick(sim);
+/// let scenario = Scenario::new("doc/ws", SimConfig::prototype(), &[Archetype::WebSearch], 0.1, 7);
+/// let mut driver = scenario.build_driver().unwrap();
 /// assert_eq!(driver.mode(), DriverMode::Tick);
-/// let report = driver.run_for_hours(0.1);
+/// let report = driver.run_ticks(scenario.ticks());
 /// assert!(report.sim_time.as_hours() > 0.09);
 /// ```
 #[derive(Debug)]
@@ -144,28 +147,12 @@ pub struct SimDriver {
 }
 
 impl SimDriver {
-    /// A driver in tick-compatibility mode: bit-identical to calling
-    /// [`Simulation::step`] in a loop, including telemetry and report
-    /// contents.
-    #[must_use]
-    pub fn tick(sim: Simulation) -> Self {
-        Self {
-            sim,
-            mode: DriverMode::Tick,
-        }
-    }
-
-    /// A driver in event mode: runs the leap loop, fast-forwarding
-    /// quiet spans. Reports and end states are bitwise
-    /// identical to tick mode; when tracing is enabled the trace
-    /// additionally carries `driver.leaped` events describing the
-    /// spans that were fast-forwarded.
-    #[must_use]
-    pub fn event(sim: Simulation) -> Self {
-        Self {
-            sim,
-            mode: DriverMode::Event,
-        }
+    /// A driver advancing `sim` in `mode`. Event mode's reports and end
+    /// states are bitwise identical to tick mode's; when tracing is
+    /// enabled its trace additionally carries `driver.leaped` events
+    /// describing the spans that were fast-forwarded.
+    pub(crate) fn new(sim: Simulation, mode: DriverMode) -> Self {
+        Self { sim, mode }
     }
 
     /// The execution mode.
@@ -178,18 +165,6 @@ impl SimDriver {
     #[must_use]
     pub fn sim(&self) -> &Simulation {
         &self.sim
-    }
-
-    /// Mutable access to the driven simulation (experiment setup, e.g.
-    /// presetting buffer SoC mid-run).
-    pub fn sim_mut(&mut self) -> &mut Simulation {
-        &mut self.sim
-    }
-
-    /// Consumes the driver, returning the simulation.
-    #[must_use]
-    pub fn into_sim(self) -> Simulation {
-        self.sim
     }
 
     /// The report so far (see [`Simulation::snapshot`]).
@@ -209,11 +184,6 @@ impl SimDriver {
             DriverMode::Event => self.run_event(ticks),
         }
         self.sim.snapshot()
-    }
-
-    /// Runs the given number of simulated hours.
-    pub fn run_for_hours(&mut self, hours: f64) -> SimReport {
-        self.run_ticks(crate::scenario::ticks_for(self.sim.config(), hours))
     }
 
     /// The leap loop up to `ticks` from now: offer the rest of the
@@ -240,6 +210,7 @@ mod tests {
     use crate::config::SimConfig;
     use crate::faults::FaultSchedule;
     use crate::policy::PolicyKind;
+    use crate::scenario::Scenario;
     use heb_units::{Ratio, Watts};
     use heb_workload::Archetype;
 
@@ -272,32 +243,37 @@ mod tests {
         let _ = SimClock::new(Seconds::new(0.0));
     }
 
-    fn steady_sim(budget: f64) -> Simulation {
-        Simulation::new(
+    fn steady(budget: f64) -> Scenario {
+        Scenario::from_ticks(
+            "t/steady",
             SimConfig::prototype()
                 .with_policy(PolicyKind::HebD)
                 .with_budget(Watts::new(budget)),
             &[Archetype::WordCount],
+            0,
             42,
         )
         .with_steady_workload(Ratio::new_clamped(0.3))
     }
 
+    fn driver(scenario: Scenario, mode: DriverMode) -> SimDriver {
+        scenario.with_driver_mode(mode).build_driver().unwrap()
+    }
+
     #[test]
     fn tick_mode_is_bit_identical_to_raw_step_loop() {
-        let mut a = Simulation::new(
+        let scenario = Scenario::from_ticks(
+            "t/mixed",
             SimConfig::prototype().with_policy(PolicyKind::HebD),
             &[Archetype::WebSearch, Archetype::Terasort],
+            0,
             11,
         );
+        let mut a = scenario.build().unwrap();
         for _ in 0..1500 {
             a.step();
         }
-        let mut b = SimDriver::tick(Simulation::new(
-            SimConfig::prototype().with_policy(PolicyKind::HebD),
-            &[Archetype::WebSearch, Archetype::Terasort],
-            11,
-        ));
+        let mut b = driver(scenario, DriverMode::Tick);
         let rb = b.run_ticks(1500);
         assert_eq!(a.snapshot(), rb);
         assert_eq!(a.slot_log(), b.sim().slot_log());
@@ -306,9 +282,9 @@ mod tests {
     #[test]
     fn event_mode_matches_tick_mode_on_a_quiet_valley() {
         let n = 3 * 3600;
-        let mut tick = SimDriver::tick(steady_sim(2000.0));
+        let mut tick = driver(steady(2000.0), DriverMode::Tick);
         let rt = tick.run_ticks(n);
-        let mut event = SimDriver::event(steady_sim(2000.0));
+        let mut event = driver(steady(2000.0), DriverMode::Event);
         let re = event.run_ticks(n);
         assert_eq!(rt, re, "reports must be bitwise identical");
         assert_eq!(tick.sim().slot_log(), event.sim().slot_log());
@@ -328,18 +304,18 @@ mod tests {
         // blackout, a string failure — event mode must agree bit for
         // bit because it falls back to step() whenever quiet fails.
         let schedule = "blackout@1800~600; ba-fail(0)@4200~900";
-        let build = || {
-            Simulation::new(
-                SimConfig::prototype()
-                    .with_policy(PolicyKind::HebD)
-                    .with_budget(Watts::new(150.0)),
-                &[Archetype::Terasort],
-                3,
-            )
-            .with_faults(FaultSchedule::parse(schedule).unwrap())
-        };
-        let rt = SimDriver::tick(build()).run_ticks(2 * 3600);
-        let re = SimDriver::event(build()).run_ticks(2 * 3600);
+        let hostile = Scenario::from_ticks(
+            "t/hostile",
+            SimConfig::prototype()
+                .with_policy(PolicyKind::HebD)
+                .with_budget(Watts::new(150.0)),
+            &[Archetype::Terasort],
+            0,
+            3,
+        )
+        .with_faults(FaultSchedule::parse(schedule).unwrap());
+        let rt = driver(hostile.clone(), DriverMode::Tick).run_ticks(2 * 3600);
+        let re = driver(hostile, DriverMode::Event).run_ticks(2 * 3600);
         assert_eq!(rt, re);
     }
 
@@ -348,7 +324,10 @@ mod tests {
         // Count driver.leaped telemetry: a 3-hour full-buffer valley
         // must be covered almost entirely by leaps.
         let recorder = std::sync::Arc::new(heb_telemetry::RingRecorder::new(4096));
-        let mut driver = SimDriver::event(steady_sim(2000.0).with_recorder(recorder.clone()));
+        let mut driver = driver(
+            steady(2000.0).with_recorder(recorder.clone()),
+            DriverMode::Event,
+        );
         let _ = driver.run_ticks(3 * 3600);
         let leaped: u64 = recorder
             .to_jsonl()
@@ -367,13 +346,14 @@ mod tests {
 
     #[test]
     fn driver_accessors_round_trip() {
-        let driver = SimDriver::event(steady_sim(2000.0));
+        let driver = driver(steady(2000.0), DriverMode::Event);
         assert_eq!(driver.mode(), DriverMode::Event);
         assert_eq!(driver.sim().clock().index(), 0);
-        let sim = driver.into_sim();
-        assert_eq!(sim.clock().index(), 0);
-        let mut driver = SimDriver::tick(sim);
-        driver.sim_mut().set_buffer_soc(Ratio::new_clamped(0.5));
+        let mut driver = steady(2000.0)
+            .with_initial_soc(Ratio::new_clamped(0.5))
+            .build_driver()
+            .unwrap();
+        assert_eq!(driver.mode(), DriverMode::Tick);
         let report = driver.run_ticks(10);
         assert_eq!(report.sim_time, Seconds::new(10.0));
     }

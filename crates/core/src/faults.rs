@@ -507,6 +507,9 @@ impl FaultSchedule {
                     .map(|a| a.trim().parse::<f64>())
                     .collect::<Result<_, _>>()
                     .map_err(|_| err("non-numeric argument"))?;
+                if args.iter().any(|a| !a.is_finite()) {
+                    return Err(err("arguments must be finite"));
+                }
                 (name.trim(), args)
             }
             None => (head.trim(), Vec::new()),
@@ -522,8 +525,13 @@ impl FaultSchedule {
                 None,
             ),
         };
-        if start < 0.0 || duration.is_some_and(|d| d <= 0.0) {
-            return Err(err("times must be non-negative (duration positive)"));
+        // `f64::from_str` accepts `NaN` and `inf`; neither is a time.
+        if !(start >= 0.0 && start.is_finite())
+            || duration.is_some_and(|d| !(d > 0.0 && d.is_finite()))
+        {
+            return Err(err(
+                "times must be finite and non-negative (duration positive)",
+            ));
         }
         let arg = |idx: usize| -> Result<f64, FaultSpecError> {
             args.get(idx)
@@ -991,6 +999,27 @@ mod tests {
                 "spec `{bad}` should be rejected"
             );
         }
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_values_naming_the_entry() {
+        // Each of these once parsed: a NaN start never fired and held
+        // back every later event, a NaN duration never ended, a NaN
+        // derate clamped to a blackout, and infinities passed as is.
+        for (spec, entry) in [
+            ("blackout@NaN;ba-fail(0)@100", "blackout@NaN"),
+            ("blackout@0~NaN", "blackout@0~NaN"),
+            ("brownout(NaN)@10~5", "brownout(NaN)@10~5"),
+            ("meter-spike(inf)@10~5", "meter-spike(inf)@10~5"),
+            ("blackout@inf", "blackout@inf"),
+        ] {
+            let err = FaultSchedule::parse(spec).expect_err(spec);
+            assert!(
+                err.to_string().contains(&format!("`{entry}`")),
+                "{spec}: {err}"
+            );
+        }
+        assert_eq!(FaultSchedule::parse("ba-fail(0)@100").unwrap().len(), 1);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   peak/valley prediction, small/large peak classification, PAT
 //!   lookup and update;
 //! * [`Simulation`] — the engine state tying cluster, feeds, relays,
-//!   buffers, and controller together at 1-second tick resolution;
+//!   buffers, and controller together at 1-second tick resolution,
+//!   built only from a [`Scenario`];
 //! * [`SimDriver`] — the driver core ([`event`]) that advances a
 //!   simulation: [`DriverMode::Tick`] reproduces the seed tick loop
 //!   bit-for-bit, [`DriverMode::Event`] runs the leap loop, which
@@ -32,8 +33,10 @@
 //!   utilisation;
 //! * [`Scenario`] — a content-addressed, self-contained run
 //!   description (config + workloads + mode + faults + horizon + seed)
-//!   with a stable 128-bit hash, executed serially by [`SerialRunner`]
-//!   or in parallel (with result caching) by the `heb-fleet` engine;
+//!   with a stable 128-bit hash and the one way to build a
+//!   [`Simulation`] or a [`SimDriver`]; executed serially by
+//!   [`SerialRunner`] or in parallel (with result caching) by the
+//!   `heb-fleet` engine;
 //! * [`experiments`] — ready-made drivers for every figure of the
 //!   evaluation (used by the `heb-bench` binaries, the examples, and
 //!   the integration tests); each sweep exposes a scenario-batch
@@ -42,13 +45,14 @@
 //! # Examples
 //!
 //! ```
-//! use heb_core::{PolicyKind, SimConfig, SimDriver, Simulation};
+//! use heb_core::{PolicyKind, Scenario, SimConfig};
 //! use heb_workload::Archetype;
 //!
-//! // Ten simulated minutes of Terasort under the dynamic HEB policy:
+//! // Twelve simulated minutes of Terasort under the dynamic HEB policy:
 //! let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-//! let sim = Simulation::new(config, &[Archetype::Terasort], 42);
-//! let report = SimDriver::tick(sim).run_for_hours(0.2);
+//! let report = Scenario::new("doc/ts", config, &[Archetype::Terasort], 0.2, 42)
+//!     .run()
+//!     .unwrap();
 //! assert!(report.energy_efficiency().get() > 0.5);
 //! ```
 

@@ -10,8 +10,7 @@
 //!
 //! The module also synthesises the aggregate demand trace a query
 //! implies ([`demand_trace`]), mirroring
-//! [`Simulation::try_new`](crate::Simulation::try_new)'s
-//! cluster setup bit-for-bit, so the paper's MPPU metric (§2.1) can be
+//! [`Scenario::build`]'s cluster setup bit-for-bit, so the paper's MPPU metric (§2.1) can be
 //! reported without re-running the simulation ([`scenario_mppu`], which
 //! counts the ticks at budget in the same drive loop instead of
 //! collecting the trace).
@@ -210,13 +209,11 @@ pub fn scenario_mppu(scenario: &Scenario) -> f64 {
 }
 
 /// Synthesises the aggregate cluster demand trace a scenario implies:
-/// the rack [`Simulation::try_new`] builds (one shared constructor:
+/// the rack [`Scenario::build`] builds (one shared constructor:
 /// round-robin workload assignment, per-server seeding
 /// `seed + idx * 7919`, frequency grouping), its utilization lanes
 /// stepped once per tick with no power-capping feedback. This is the open-loop demand the paper's
 /// MPPU metric is defined over.
-///
-/// [`Simulation::try_new`]: crate::Simulation::try_new
 #[must_use]
 pub fn demand_trace(
     config: &SimConfig,

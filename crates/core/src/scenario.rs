@@ -139,7 +139,7 @@ pub struct Scenario {
     initial_soc: Option<Ratio>,
     /// When set, every server's workload stream is replaced by this
     /// constant, noiseless utilization (see
-    /// [`Simulation::with_steady_workload`]) — the regime that lets the
+    /// [`Scenario::with_steady_workload`]) — the regime that lets the
     /// event driver leap across megafleet-scale quiet spans.
     steady: Option<Ratio>,
     ticks: u64,
@@ -163,10 +163,8 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A utility-mode scenario spanning `hours` of simulated time. The
-    /// tick count is derived by [`ticks_for`], exactly as
-    /// [`SimDriver::run_for_hours`] derives it, so scenario runs and
-    /// direct runs agree to the bit.
+    /// A utility-mode scenario spanning `hours` of simulated time, as
+    /// [`ticks_for`] rounds it into metering ticks.
     #[must_use]
     pub fn new(
         label: impl Into<String>,
@@ -230,8 +228,10 @@ impl Scenario {
     }
 
     /// Replaces every server's workload stream with a constant,
-    /// noiseless utilization (chainable). Unlike the archetype mix the
-    /// override is semantic — it changes the report — so it folds into
+    /// noiseless utilization (chainable). The streams satisfy
+    /// [`heb_workload::UtilizationLanes::is_steady`], so an event-mode
+    /// driver can leap across the whole valley. Unlike the archetype
+    /// mix the override is semantic — it changes the report — so it folds into
     /// [`Scenario::content_hash`]; scenarios without it keep their
     /// legacy hash verbatim.
     #[must_use]
@@ -360,6 +360,11 @@ impl Scenario {
         self.driver
     }
 
+    /// The telemetry sink the built simulation records to, if any.
+    pub(crate) fn recorder(&self) -> Option<&heb_telemetry::RecorderHandle> {
+        self.recorder.as_ref()
+    }
+
     /// The stable 128-bit content digest over every semantic field.
     ///
     /// Two scenarios share a hash exactly when they would produce the
@@ -455,27 +460,16 @@ impl Scenario {
         format!("{:032x}", self.content_hash())
     }
 
-    /// Builds the simulation (mode, faults, and initial SoC applied)
-    /// without running it.
+    /// Builds the simulation (mode, faults, initial SoC, steady lanes
+    /// and recorder installed) without running it — the one way to
+    /// construct a [`Simulation`].
     ///
     /// # Errors
     ///
     /// Returns a [`SimError`] for an invalid config, an empty workload
     /// mix, or an empty solar trace.
     pub fn build(&self) -> Result<Simulation, SimError> {
-        let mut sim =
-            Simulation::try_build(self.config.clone(), &self.workloads, self.seed, self.steady)?
-                .try_with_mode(self.mode.clone())?;
-        if let Some(schedule) = &self.faults {
-            sim = sim.with_faults(schedule.clone());
-        }
-        if let Some(soc) = self.initial_soc {
-            sim.set_buffer_soc(soc);
-        }
-        if let Some(recorder) = &self.recorder {
-            sim.set_recorder(heb_telemetry::RecorderHandle::clone(recorder));
-        }
-        Ok(sim)
+        Simulation::from_scenario(self)
     }
 
     /// Builds the scenario's [`SimDriver`] — the one construction path
@@ -486,11 +480,7 @@ impl Scenario {
     ///
     /// Returns a [`SimError`] when [`Scenario::build`] does.
     pub fn build_driver(&self) -> Result<SimDriver, SimError> {
-        let sim = self.build()?;
-        Ok(match self.driver {
-            DriverMode::Tick => SimDriver::tick(sim),
-            DriverMode::Event => SimDriver::event(sim),
-        })
+        Ok(SimDriver::new(self.build()?, self.driver))
     }
 
     /// Runs the scenario to completion through its [`SimDriver`].
@@ -503,9 +493,7 @@ impl Scenario {
         Ok(driver.run_ticks(self.ticks))
     }
 
-    /// Runs the scenario, panicking with the scenario label on error —
-    /// the behaviour experiment drivers had when they called
-    /// [`Simulation::new`] directly.
+    /// Runs the scenario, panicking with the scenario label on error.
     ///
     /// # Panics
     ///
@@ -520,7 +508,7 @@ impl Scenario {
 }
 
 /// Ticks covered by `hours` under `config` — the one rounding every
-/// hours-based run applies, [`SimDriver::run_for_hours`] included.
+/// hours-based run applies.
 #[must_use]
 pub fn ticks_for(config: &SimConfig, hours: f64) -> u64 {
     (hours * 3600.0 / config.tick.get()).round() as u64
@@ -807,11 +795,7 @@ mod tests {
     #[test]
     fn scenario_run_matches_direct_simulation() {
         let report = base().run().unwrap();
-        let mut sim = Simulation::new(
-            SimConfig::prototype(),
-            &[Archetype::WebSearch, Archetype::Terasort],
-            11,
-        );
+        let mut sim = base().build().unwrap();
         // A raw step loop is the oracle: no driver on this side.
         for _ in 0..base().ticks() {
             sim.step();
@@ -891,5 +875,26 @@ mod tests {
         let empty = PowerTrace::new(Vec::new(), Seconds::new(1.0));
         let s = base().with_mode(PowerMode::Solar(empty));
         assert_eq!(s.run().err(), Some(SimError::EmptySolarTrace));
+    }
+
+    #[test]
+    fn nan_config_fields_are_typed_errors_not_panics() {
+        // Each of these once passed validation and then panicked inside
+        // the clock or the meter.
+        type Edit = fn(&mut SimConfig);
+        let edits: [(&str, Edit); 3] = [
+            ("tick", |c| c.tick = Seconds::new(f64::NAN)),
+            ("budget", |c| c.budget = Watts::new(f64::NAN)),
+            ("metering_noise", |c| c.metering_noise = f64::NAN),
+        ];
+        for (field, edit) in edits {
+            let mut config = SimConfig::prototype();
+            edit(&mut config);
+            let s = Scenario::from_ticks("t/nan", config, &[Archetype::WebSearch], 30, 1);
+            assert!(
+                matches!(s.run(), Err(SimError::Config(_))),
+                "NaN {field} must be a config error"
+            );
+        }
     }
 }

@@ -26,9 +26,10 @@ use crate::config::SimConfig;
 use crate::controller::{HebController, SlotPlan};
 use crate::errors::SimError;
 use crate::event::SimClock;
-use crate::faults::{FaultInjector, FaultKind, FaultSchedule, FaultTransition};
+use crate::faults::{FaultInjector, FaultKind, FaultTransition};
 use crate::metrics::SimReport;
 use crate::policy::{ChargePriority, DischargePriority, PolicyKind};
+use crate::scenario::Scenario;
 use heb_esd::{ChargeResult, DischargeResult, StorageDevice};
 use heb_powersys::{
     Cluster, ConverterChain, DeliveryPath, FrequencyLevel, Ipdu, MeterFault, PowerSource,
@@ -127,16 +128,21 @@ struct DischargeOutcome {
 /// # Examples
 ///
 /// ```
-/// use heb_core::{PolicyKind, SimConfig, SimDriver, Simulation};
+/// use heb_core::{PolicyKind, Scenario, SimConfig};
 /// use heb_workload::Archetype;
 ///
-/// let sim = Simulation::new(
+/// let scenario = Scenario::new(
+///     "doc/sc-first",
 ///     SimConfig::prototype().with_policy(PolicyKind::ScFirst),
 ///     &[Archetype::WebSearch],
+///     0.1,
 ///     7,
 /// );
-/// let report = SimDriver::tick(sim).run_for_hours(0.1);
-/// assert!(report.sim_time.as_hours() > 0.09);
+/// let mut sim = scenario.build().unwrap();
+/// for _ in 0..scenario.ticks() {
+///     sim.step();
+/// }
+/// assert!(sim.snapshot().sim_time.as_hours() > 0.09);
 /// ```
 #[derive(Debug)]
 pub struct Simulation {
@@ -188,76 +194,72 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation: `archetypes` are assigned to servers
-    /// round-robin (each server gets an independent seeded generator),
-    /// and servers running small-peak workloads are put in the
-    /// low-frequency governor group, mirroring the paper's two-group
-    /// setup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `archetypes` is empty or the config is invalid; the
-    /// message is the corresponding [`SimError`] display string.
-    #[must_use]
-    pub fn new(config: SimConfig, archetypes: &[Archetype], seed: u64) -> Self {
-        // heb-analyze: allow(HEB003, documented panicking twin of try_new)
-        Self::try_new(config, archetypes, seed).unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible twin of [`Simulation::new`] for callers (CLI parsing,
-    /// sweep harnesses) that must report bad inputs gracefully.
+    /// Builds the simulation `scenario` describes — the one
+    /// constructor, reached through [`Scenario::build`]. The workloads
+    /// are assigned to servers round-robin (each server gets an
+    /// independent seeded generator, or the scenario's steady level),
+    /// servers running small-peak workloads join the low-frequency
+    /// governor group as in the paper's two-group setup, and the power
+    /// mode, fault schedule, initial state of charge and recorder are
+    /// installed in place.
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] when the config fails
-    /// [`SimConfig::try_validate`] or `archetypes` is empty.
-    pub fn try_new(
-        config: SimConfig,
-        archetypes: &[Archetype],
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        Self::try_build(config, archetypes, seed, None)
-    }
-
-    /// [`Simulation::try_new`], optionally followed by
-    /// [`Simulation::with_steady_workload`] — without seeding per-server
-    /// streams that the steady level would replace.
-    pub(crate) fn try_build(
-        config: SimConfig,
-        archetypes: &[Archetype],
-        seed: u64,
-        steady: Option<Ratio>,
-    ) -> Result<Self, SimError> {
+    /// Returns [`SimError::Config`] when the config fails
+    /// [`SimConfig::try_validate`], [`SimError::NoWorkloads`] for an
+    /// empty mix, and [`SimError::EmptySolarTrace`] for a solar trace
+    /// with no samples — a silent all-zero supply would otherwise
+    /// masquerade as a perpetual blackout.
+    pub(crate) fn from_scenario(scenario: &Scenario) -> Result<Self, SimError> {
+        let config = scenario.config();
         config.try_validate()?;
-        if archetypes.is_empty() {
+        if scenario.workloads().is_empty() {
             return Err(SimError::NoWorkloads);
         }
-        let (cluster, lanes) = seeded_rack(config.servers, archetypes, seed, steady);
+        if let PowerMode::Solar(trace) = scenario.mode() {
+            if trace.is_empty() {
+                return Err(SimError::EmptySolarTrace);
+            }
+        }
+        let seed = scenario.seed();
+        let (cluster, lanes) = seeded_rack(
+            config.servers,
+            scenario.workloads(),
+            seed,
+            scenario.steady_workload(),
+        );
         let sc_fraction = if config.policy == PolicyKind::BaOnly {
             heb_units::Ratio::ZERO
         } else {
             config.sc_fraction
         };
-        let buffers = HybridBuffers::build_split(
+        let mut buffers = HybridBuffers::build_split(
             config.total_capacity,
             sc_fraction,
             config.dod_limit,
             config.battery_strings,
         );
-        let mut controller = HebController::new(&config);
+        let mut controller = HebController::new(config);
+        // The first plan sees full pools; a preset SoC applies after it.
         let plan = controller.begin_slot(buffers.sc_available(), buffers.ba_available());
-        let fabric = SwitchFabric::new(config.servers);
-        let utility = UtilityFeed::try_new(config.budget)?;
-        Ok(Self {
+        if let Some(soc) = scenario.initial_soc() {
+            for d in buffers.sc_pool_mut().devices_mut() {
+                d.set_soc(soc);
+            }
+            for d in buffers.ba_pool_mut().devices_mut() {
+                d.set_soc(soc);
+            }
+        }
+        let mut sim = Self {
             ipdu: Ipdu::new(config.ticks_per_slot() as usize)
                 .with_noise(config.metering_noise, seed ^ 0xA5A5_5A5A),
             cluster,
-            fabric,
+            fabric: SwitchFabric::new(config.servers),
             buffers,
             controller,
-            utility,
+            utility: UtilityFeed::new(config.budget),
             renewable: RenewableFeed::new(),
-            mode: PowerMode::Utility,
+            mode: scenario.mode().clone(),
             drive: Vec::new(),
             lanes_steady: lanes.is_steady(),
             lanes,
@@ -269,7 +271,9 @@ impl Simulation {
             slot_valley: Watts::new(f64::INFINITY),
             report: SimReport::default(),
             slot_log: Vec::new(),
-            injector: FaultInjector::idle(),
+            injector: scenario
+                .faults()
+                .map_or_else(FaultInjector::idle, |s| FaultInjector::new(s.clone())),
             prev_budget_factor: Ratio::ONE,
             slot_gap_ticks: 0,
             supply_fault_prev: false,
@@ -277,15 +281,20 @@ impl Simulation {
             prev_solar_online: true,
             recorder: null_recorder(),
             trace: false,
-            config,
-        })
+            config: config.clone(),
+        };
+        if let Some(recorder) = scenario.recorder() {
+            sim.set_recorder(RecorderHandle::clone(recorder));
+        }
+        Ok(sim)
     }
 
     /// Routes the full event stream — controller decisions, per-slot
     /// pool state, power transitions, fault edges — to `recorder`.
-    /// The default is a [`heb_telemetry::NullRecorder`], which keeps
-    /// the whole layer out of the per-tick path.
-    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
+    /// Without one the simulation keeps a
+    /// [`heb_telemetry::NullRecorder`], which keeps the whole layer out
+    /// of the per-tick path.
+    fn set_recorder(&mut self, recorder: RecorderHandle) {
         self.trace = recorder.is_enabled();
         self.controller
             .set_recorder(RecorderHandle::clone(&recorder));
@@ -296,65 +305,6 @@ impl Simulation {
             .ba_pool_mut()
             .set_recorder(PoolId::Battery, RecorderHandle::clone(&recorder));
         self.recorder = recorder;
-    }
-
-    /// Chainable form of [`Simulation::set_recorder`].
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: RecorderHandle) -> Self {
-        self.set_recorder(recorder);
-        self
-    }
-
-    /// Switches the power source (chainable at construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a solar trace with no samples is supplied.
-    #[must_use]
-    pub fn with_mode(self, mode: PowerMode) -> Self {
-        self.try_with_mode(mode)
-            // heb-analyze: allow(HEB003, documented panicking twin of try_with_mode)
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Fallible twin of [`Simulation::with_mode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::EmptySolarTrace`] for a solar trace with no
-    /// samples — a silent all-zero supply would otherwise masquerade as
-    /// a perpetual blackout.
-    pub fn try_with_mode(mut self, mode: PowerMode) -> Result<Self, SimError> {
-        if let PowerMode::Solar(trace) = &mode {
-            if trace.is_empty() {
-                return Err(SimError::EmptySolarTrace);
-            }
-        }
-        self.mode = mode;
-        Ok(self)
-    }
-
-    /// Installs a fault schedule (chainable at construction). The
-    /// schedule's events are applied at tick boundaries as simulated
-    /// time reaches them; [`SimReport::faults`] audits every one.
-    #[must_use]
-    pub fn with_faults(mut self, schedule: FaultSchedule) -> Self {
-        self.injector = FaultInjector::new(schedule);
-        self
-    }
-
-    /// Replaces every server's workload stream with a constant,
-    /// noiseless level (chainable at construction). The streams this
-    /// produces satisfy [`UtilizationLanes::is_steady`], so an
-    /// event-mode driver can leap across the whole valley — the
-    /// sparse-workload microbench and the leap equivalence tests are
-    /// built on this.
-    #[must_use]
-    pub fn with_steady_workload(mut self, utilization: Ratio) -> Self {
-        self.lanes = UtilizationLanes::steady(self.lanes.len(), utilization);
-        self.lanes_steady = self.lanes.is_steady();
-        self.driven_at = None;
-        self
     }
 
     /// The configuration in force.
@@ -368,18 +318,6 @@ impl Simulation {
     #[must_use]
     pub fn clock(&self) -> &SimClock {
         &self.clock
-    }
-
-    /// Presets both buffer pools to `soc` of their usable window —
-    /// experiment setup, e.g. starting a solar day with buffers drained
-    /// by the overnight load.
-    pub fn set_buffer_soc(&mut self, soc: heb_units::Ratio) {
-        for d in self.buffers.sc_pool_mut().devices_mut() {
-            d.set_soc(soc);
-        }
-        for d in self.buffers.ba_pool_mut().devices_mut() {
-            d.set_soc(soc);
-        }
     }
 
     /// The buffer pools (inspection).
@@ -1322,29 +1260,32 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SimDriver;
-    use crate::faults::FaultEvent;
+    use crate::errors::SimError;
+    use crate::faults::{FaultEvent, FaultSchedule};
     use heb_units::Ratio;
 
-    fn sim(policy: PolicyKind) -> Simulation {
-        Simulation::new(
+    /// `hours` of the WebSearch + Terasort rack under `policy`.
+    fn mixed(policy: PolicyKind, hours: f64) -> Scenario {
+        Scenario::new(
+            "t/mixed",
             SimConfig::prototype().with_policy(policy),
             &[Archetype::WebSearch, Archetype::Terasort],
+            hours,
             11,
         )
     }
 
     #[test]
     fn runs_and_accumulates_time() {
-        let report = SimDriver::tick(sim(PolicyKind::HebD)).run_for_hours(0.5);
+        let report = mixed(PolicyKind::HebD, 0.5).run().unwrap();
         assert_eq!(report.sim_time, Seconds::from_hours(0.5));
         assert!(report.slots >= 2);
     }
 
     /// A disabled recorder whose `record` panics: proves the disabled
     /// path never constructs or delivers an event — the semantic half
-    /// of the zero-cost claim (the perf half lives in the microbench
-    /// `--telemetry-guard` mode).
+    /// of the zero-cost claim (the perf half is the telemetry guard of
+    /// `microbench -- --guard PATH`).
     #[derive(Debug)]
     struct PanicRecorder;
 
@@ -1362,22 +1303,20 @@ mod tests {
     fn disabled_recorder_is_never_invoked() {
         // Cross several slot boundaries, a budget derate, and a fault
         // window — every emission site fires, none may call record().
-        let schedule = crate::faults::FaultSchedule::parse("blackout@300~120").unwrap();
-        let mut s = Simulation::new(
-            SimConfig::prototype().with_policy(PolicyKind::HebD),
-            &[Archetype::WebSearch, Archetype::Terasort],
-            11,
-        )
-        .with_faults(schedule);
-        s.set_recorder(std::sync::Arc::new(PanicRecorder));
-        let report = SimDriver::tick(s).run_for_hours(0.5);
+        let schedule = FaultSchedule::parse("blackout@300~120").unwrap();
+        let report = mixed(PolicyKind::HebD, 0.5)
+            .with_faults(schedule)
+            .with_recorder(std::sync::Arc::new(PanicRecorder))
+            .run()
+            .unwrap();
         assert!(report.slots >= 2);
     }
 
     #[test]
     fn ba_only_never_touches_sc() {
-        let mut s = SimDriver::tick(sim(PolicyKind::BaOnly));
-        let report = s.run_for_hours(0.5);
+        let scenario = mixed(PolicyKind::BaOnly, 0.5);
+        let mut s = scenario.build_driver().unwrap();
+        let report = s.run_ticks(scenario.ticks());
         assert!(s.sim().buffers().sc_pool().is_empty());
         assert!(report.pat_entries == 0);
     }
@@ -1388,8 +1327,9 @@ mod tests {
         let config = SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(150.0));
-        let s = Simulation::new(config, &[Archetype::Terasort], 3);
-        let report = SimDriver::tick(s).run_for_hours(0.3);
+        let report = Scenario::new("t/peaks", config, &[Archetype::Terasort], 0.3, 3)
+            .run()
+            .unwrap();
         assert!(
             report.buffer_delivered.get() > 0.0,
             "buffers must shave the standing mismatch"
@@ -1401,16 +1341,19 @@ mod tests {
         // Generous budget, light workload: buffers should top up after
         // being pre-drained.
         let config = SimConfig::prototype().with_policy(PolicyKind::ScFirst);
-        let mut s = Simulation::new(config, &[Archetype::PageRank], 5);
+        let scenario = Scenario::new("t/valleys", config, &[Archetype::PageRank], 0.2, 5);
+        let mut s = scenario.build().unwrap();
         s.buffers
             .sc_pool_mut()
             .devices_mut()
             .iter_mut()
             .for_each(|d| d.set_soc(Ratio::new_clamped(0.2)));
         let before = s.buffers().sc_available();
-        let mut s = SimDriver::tick(s);
-        let report = s.run_for_hours(0.2);
-        assert!(s.sim().buffers().sc_available() > before);
+        for _ in 0..scenario.ticks() {
+            s.step();
+        }
+        let report = s.snapshot();
+        assert!(s.buffers().sc_available() > before);
         assert!(report.charge_drawn.get() > 0.0);
     }
 
@@ -1421,8 +1364,9 @@ mod tests {
             .with_policy(PolicyKind::BaOnly)
             .with_budget(Watts::new(60.0))
             .with_total_capacity(Joules::from_watt_hours(2.0));
-        let s = Simulation::new(config, &[Archetype::Terasort], 1);
-        let report = SimDriver::tick(s).run_for_hours(0.5);
+        let report = Scenario::new("t/starved", config, &[Archetype::Terasort], 0.5, 1)
+            .run()
+            .unwrap();
         assert!(
             report.server_downtime.get() > 0.0,
             "starved rack must shed servers"
@@ -1438,11 +1382,11 @@ mod tests {
             .days(1.0)
             .build();
         let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-        let s =
-            Simulation::new(config, &[Archetype::WebSearch], 9).with_mode(PowerMode::Solar(trace));
-        // Run across midday so generation actually happens: skip to
-        // 10:00 then run two hours.
-        let report = SimDriver::tick(s).run_ticks(12 * 3600);
+        // Run across midday so generation actually happens.
+        let report = Scenario::from_ticks("t/solar", config, &[Archetype::WebSearch], 12 * 3600, 9)
+            .with_mode(PowerMode::Solar(trace))
+            .run()
+            .unwrap();
         assert!(report.renewable_generated.get() > 0.0);
         let reu = report.reu();
         assert!(reu.get() > 0.0 && reu.get() <= 1.0);
@@ -1450,7 +1394,7 @@ mod tests {
 
     #[test]
     fn energy_accounting_is_consistent() {
-        let report = SimDriver::tick(sim(PolicyKind::HebD)).run_for_hours(1.0);
+        let report = mixed(PolicyKind::HebD, 1.0).run().unwrap();
         // delivered + discharge loss == drained
         assert!(
             ((report.buffer_delivered + report.discharge_loss) - report.buffer_drained)
@@ -1469,48 +1413,29 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let r1 = SimDriver::tick(sim(PolicyKind::HebD)).run_for_hours(0.3);
-        let r2 = SimDriver::tick(sim(PolicyKind::HebD)).run_for_hours(0.3);
+        let r1 = mixed(PolicyKind::HebD, 0.3).run().unwrap();
+        let r2 = mixed(PolicyKind::HebD, 0.3).run().unwrap();
         assert_eq!(r1.buffer_delivered, r2.buffer_delivered);
         assert_eq!(r1.server_downtime, r2.server_downtime);
     }
 
     #[test]
-    #[should_panic(expected = "at least one workload")]
-    fn empty_workloads_panic() {
-        let _ = Simulation::new(SimConfig::prototype(), &[], 0);
-    }
-
-    #[test]
-    fn try_new_reports_typed_errors() {
-        use crate::errors::SimError;
-        assert_eq!(
-            Simulation::try_new(SimConfig::prototype(), &[], 0).err(),
-            Some(SimError::NoWorkloads)
-        );
+    fn construction_reports_typed_errors() {
         let mut config = SimConfig::prototype();
         config.servers = 0;
         assert_eq!(
-            Simulation::try_new(config, &[Archetype::WebSearch], 0).err(),
-            Some(SimError::NoServers)
+            Scenario::new("t/none", config, &[Archetype::WebSearch], 0.1, 0)
+                .build()
+                .err(),
+            Some(SimError::Config(crate::config::ConfigError::NoServers))
         );
-    }
-
-    #[test]
-    fn empty_solar_trace_is_rejected_at_construction() {
-        use crate::errors::SimError;
-        let trace = PowerTrace::new(Vec::new(), Seconds::new(1.0));
-        let result = Simulation::try_new(SimConfig::prototype(), &[Archetype::WebSearch], 0)
-            .unwrap()
-            .try_with_mode(PowerMode::Solar(trace));
-        assert!(matches!(result, Err(SimError::EmptySolarTrace)));
-    }
-
-    #[test]
-    #[should_panic(expected = "solar trace must contain at least one sample")]
-    fn empty_solar_trace_panics_in_with_mode() {
-        let trace = PowerTrace::new(Vec::new(), Seconds::new(1.0));
-        let _ = sim(PolicyKind::HebD).with_mode(PowerMode::Solar(trace));
+        // Invalid configs are reported before the workload mix.
+        let mut config = SimConfig::prototype();
+        config.tick = Seconds::new(f64::NAN);
+        assert!(matches!(
+            Scenario::new("t/nan", config, &[], 0.1, 0).build(),
+            Err(SimError::Config(_))
+        ));
     }
 
     #[test]
@@ -1524,9 +1449,16 @@ mod tests {
         let config = SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_battery_strings(3);
-        let s = Simulation::new(config, &[Archetype::WebSearch, Archetype::Terasort], 11)
-            .with_faults(schedule);
-        let report = SimDriver::tick(s).run_for_hours(1.0);
+        let report = Scenario::new(
+            "t/faulted",
+            config,
+            &[Archetype::WebSearch, Archetype::Terasort],
+            1.0,
+            11,
+        )
+        .with_faults(schedule)
+        .run()
+        .unwrap();
         let ledger = &report.faults;
         assert_eq!(ledger.events_applied, 8, "every onset must be applied");
         // Everything recovers except the instantaneous ageing step.
@@ -1569,14 +1501,10 @@ mod tests {
     fn fully_blind_slot_degrades_forecast_instead_of_poisoning_it() {
         // The meter is dark for the whole of slot 1 (ticks 600..1200).
         let schedule = FaultSchedule::parse("meter-drop@600~600").unwrap();
-        let mut s = SimDriver::tick(
-            Simulation::new(
-                SimConfig::prototype().with_policy(PolicyKind::HebD),
-                &[Archetype::WebSearch, Archetype::Terasort],
-                11,
-            )
-            .with_faults(schedule),
-        );
+        let mut s = mixed(PolicyKind::HebD, 0.0)
+            .with_faults(schedule)
+            .build_driver()
+            .unwrap();
         let report = s.run_ticks(1201);
         assert_eq!(report.faults.meter_gap_ticks, 600);
         assert_eq!(report.faults.forecast_fallbacks, 1);
@@ -1601,21 +1529,21 @@ mod tests {
         let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
         let mix = [Archetype::WebSearch, Archetype::MediaStreaming];
 
-        let faulted =
-            Simulation::new(config.clone(), &mix, 13).with_faults(FaultSchedule::scripted(vec![
-                FaultEvent::lasting(
-                    Seconds::new(warmup as f64),
-                    Seconds::new(outage as f64),
-                    FaultKind::UtilityBlackout,
-                ),
-            ]));
-        let a = SimDriver::tick(faulted).run_ticks(warmup + outage);
+        let scenario = Scenario::from_ticks("t/outage", config.clone(), &mix, warmup + outage, 13);
+        let a = scenario
+            .clone()
+            .with_faults(FaultSchedule::scripted(vec![FaultEvent::lasting(
+                Seconds::new(warmup as f64),
+                Seconds::new(outage as f64),
+                FaultKind::UtilityBlackout,
+            )]))
+            .run()
+            .unwrap();
 
         let mut samples = vec![config.budget; warmup as usize];
         samples.extend(vec![Watts::zero(); outage as usize]);
         let trace = PowerTrace::new(samples, config.tick);
-        let traced = Simulation::new(config, &mix, 13).with_mode(PowerMode::Solar(trace));
-        let b = SimDriver::tick(traced).run_ticks(warmup + outage);
+        let b = scenario.with_mode(PowerMode::Solar(trace)).run().unwrap();
 
         assert_eq!(
             a.server_downtime, b.server_downtime,
@@ -1635,8 +1563,10 @@ mod tests {
         let config = SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(150.0));
-        let s = Simulation::new(config, &[Archetype::Terasort], 3).with_faults(schedule);
-        let report = SimDriver::tick(s).run_for_hours(0.3);
+        let report = Scenario::new("t/relay", config, &[Archetype::Terasort], 0.3, 3)
+            .with_faults(schedule)
+            .run()
+            .unwrap();
         assert!(
             report.shed_events > 0,
             "the stranded server must brown out during mismatches"
@@ -1652,18 +1582,12 @@ mod tests {
             .days(1.0)
             .build();
         let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-        let healthy = SimDriver::tick(
-            Simulation::new(config.clone(), &[Archetype::WebSearch], 9)
-                .with_mode(PowerMode::Solar(trace.clone())),
-        )
-        .run_ticks(12 * 3600);
+        let healthy =
+            Scenario::from_ticks("t/solar", config, &[Archetype::WebSearch], 12 * 3600, 9)
+                .with_mode(PowerMode::Solar(trace));
         let schedule = FaultSchedule::parse("solar-drop@36000~3600").unwrap();
-        let faulted = SimDriver::tick(
-            Simulation::new(config, &[Archetype::WebSearch], 9)
-                .with_mode(PowerMode::Solar(trace))
-                .with_faults(schedule),
-        )
-        .run_ticks(12 * 3600);
+        let faulted = healthy.clone().with_faults(schedule).run().unwrap();
+        let healthy = healthy.run().unwrap();
         assert_eq!(faulted.faults.solar_dropout_ticks, 3600);
         // Generation continues (the sun does not care) but use drops.
         assert_eq!(faulted.renewable_generated, healthy.renewable_generated);
@@ -1679,15 +1603,10 @@ mod tests {
                 Seconds::from_hours(1.0),
                 &crate::faults::FaultProfile::nominal().scaled(4.0),
             );
-            SimDriver::tick(
-                Simulation::new(
-                    SimConfig::prototype().with_policy(PolicyKind::HebD),
-                    &[Archetype::WebSearch, Archetype::Terasort],
-                    11,
-                )
-                .with_faults(schedule),
-            )
-            .run_for_hours(1.0)
+            mixed(PolicyKind::HebD, 1.0)
+                .with_faults(schedule)
+                .run()
+                .unwrap()
         };
         let r1 = run();
         let r2 = run();
@@ -1696,13 +1615,19 @@ mod tests {
         assert_eq!(r1.buffer_delivered, r2.buffer_delivered);
     }
 
-    fn steady_quiet_sim() -> Simulation {
-        Simulation::new(
+    fn steady_quiet() -> Scenario {
+        Scenario::from_ticks(
+            "t/quiet",
             SimConfig::prototype().with_budget(Watts::new(2000.0)),
             &[Archetype::WordCount],
+            0,
             42,
         )
         .with_steady_workload(Ratio::new_clamped(0.3))
+    }
+
+    fn steady_quiet_sim() -> Simulation {
+        steady_quiet().build().unwrap()
     }
 
     /// The leap correctness anchor: fast-forwarding a quiet valley must
@@ -1769,15 +1694,19 @@ mod tests {
     #[test]
     fn try_leap_refuses_non_quiet_states() {
         // Stochastic workloads: never quiet.
-        let mut s = sim(PolicyKind::HebD);
+        let mut s = mixed(PolicyKind::HebD, 0.0).build().unwrap();
         assert_eq!(s.try_leap(100), 0);
         // Steady but mismatched (budget below demand): dense.
-        let mut starved = Simulation::new(
+        let mut starved = Scenario::from_ticks(
+            "t/starved",
             SimConfig::prototype().with_budget(Watts::new(60.0)),
             &[Archetype::WordCount],
+            0,
             42,
         )
-        .with_steady_workload(Ratio::new_clamped(0.9));
+        .with_steady_workload(Ratio::new_clamped(0.9))
+        .build()
+        .unwrap();
         assert_eq!(starved.try_leap(100), 0);
         // Slot boundaries take the dense path even in a quiet valley.
         let mut quiet = steady_quiet_sim();
@@ -1806,8 +1735,10 @@ mod tests {
         assert!(half.buffers.ba_pool().charge_quiescent());
         assert_eq!(half.try_leap(100), 0, "SC pool at half SoC");
         // An active fault's continuous effects are queried per tick.
-        let mut faulted =
-            steady_quiet_sim().with_faults(FaultSchedule::parse("blackout@0~600").unwrap());
+        let mut faulted = steady_quiet()
+            .with_faults(FaultSchedule::parse("blackout@0~600").unwrap())
+            .build()
+            .unwrap();
         let _ = faulted.injector.poll(faulted.clock.now());
         assert!(faulted.injector.any_active());
         assert_eq!(faulted.try_leap(100), 0, "active fault");
@@ -1816,7 +1747,7 @@ mod tests {
     #[test]
     fn try_leap_stops_short_of_fault_onsets() {
         let schedule = FaultSchedule::parse("brownout(0.5)@900~300").unwrap();
-        let mut s = steady_quiet_sim().with_faults(schedule);
+        let mut s = steady_quiet().with_faults(schedule).build().unwrap();
         // From tick 0 the span must cap at the slot boundary (600),
         // never reaching the onset at 900.
         let got = s.try_leap(10_000);

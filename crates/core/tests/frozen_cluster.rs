@@ -11,7 +11,8 @@
 //! the quiet spans between the disturbances.
 
 use heb_core::{
-    ContentHasher, FaultSchedule, PolicyKind, SimConfig, SimDriver, SimReport, Simulation,
+    ContentHasher, DriverMode, FaultSchedule, PolicyKind, Scenario, SimConfig, SimReport,
+    Simulation,
 };
 use heb_telemetry::{Event, Recorder};
 use heb_units::{Joules, Ratio, Watts};
@@ -85,22 +86,26 @@ const SCHEDULE: &str = "meter-spike(3)@700~40; meter-freeze@1500~90; \
 /// after the restore, with the brownout inside the retained window.
 fn run(event: bool) -> (String, String, String) {
     let trace = Arc::new(TraceDigest(Mutex::new((ContentHasher::new(), 0))));
-    let sim = Simulation::new(
+    let mut driver = Scenario::from_ticks(
+        "frozen",
         SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(2000.0))
             .with_total_capacity(Joules::from_watt_hours(20.0)),
         &[Archetype::WordCount],
+        0,
         42,
     )
     .with_steady_workload(Ratio::new_clamped(0.3))
     .with_faults(FaultSchedule::parse(SCHEDULE).expect("valid fault spec"))
-    .with_recorder(trace.clone());
-    let mut driver = if event {
-        SimDriver::event(sim)
+    .with_recorder(trace.clone())
+    .with_driver_mode(if event {
+        DriverMode::Event
     } else {
-        SimDriver::tick(sim)
-    };
+        DriverMode::Tick
+    })
+    .build_driver()
+    .expect("valid scenario");
     let _ = driver.run_ticks(3600 + 17);
     let thawed = meter_digest(driver.sim());
     let report = driver.run_ticks(3600 - 17);

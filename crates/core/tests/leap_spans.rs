@@ -9,7 +9,7 @@
 
 use heb_core::experiments::megafleet_scenario;
 use heb_core::{
-    ContentHasher, FaultSchedule, PolicyKind, SimConfig, SimDriver, SimReport, Simulation,
+    ContentHasher, DriverMode, FaultSchedule, PolicyKind, Scenario, SimConfig, SimReport,
 };
 use heb_telemetry::{DriverEvent, Event, Recorder};
 use heb_units::{Ratio, Watts};
@@ -50,19 +50,22 @@ fn report_digest(report: &SimReport) -> String {
 /// (3 h + 17 ticks, then 1,234 more) so one call ends mid-slot.
 fn valley_run(faults: Option<&str>) -> (Vec<(f64, u64)>, String) {
     let log = Arc::new(LeapLog::default());
-    let mut sim = Simulation::new(
+    let mut scenario = Scenario::from_ticks(
+        "valley",
         SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(2000.0)),
         &[Archetype::WordCount],
+        0,
         42,
     )
     .with_steady_workload(Ratio::new_clamped(0.3))
-    .with_recorder(log.clone());
+    .with_recorder(log.clone())
+    .with_driver_mode(DriverMode::Event);
     if let Some(spec) = faults {
-        sim = sim.with_faults(FaultSchedule::parse(spec).expect("valid fault spec"));
+        scenario = scenario.with_faults(FaultSchedule::parse(spec).expect("valid fault spec"));
     }
-    let mut driver = SimDriver::event(sim);
+    let mut driver = scenario.build_driver().expect("valid scenario");
     let _ = driver.run_ticks(3 * 3600 + 17);
     let report = driver.run_ticks(1234);
     (log.leaps(), report_digest(&report))

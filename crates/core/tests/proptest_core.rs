@@ -1,6 +1,6 @@
 //! Property tests for the controller, PAT, and simulation engine.
 
-use heb_core::{HebController, PolicyKind, PowerAllocationTable, SimConfig, SimDriver, Simulation};
+use heb_core::{HebController, PolicyKind, PowerAllocationTable, Scenario, SimConfig};
 use heb_units::{Joules, Ratio, Watts};
 use heb_workload::Archetype;
 use proptest::prelude::*;
@@ -118,8 +118,9 @@ proptest! {
             .with_policy(policy)
             .with_budget(Watts::new(budget))
             .with_total_capacity(Joules::from_watt_hours(capacity_wh));
-        let sim = Simulation::new(config, &[archetype], seed);
-        let report = SimDriver::tick(sim).run_ticks(900);
+        let report = Scenario::from_ticks("prop/short", config, &[archetype], 900, seed)
+            .run()
+            .unwrap();
         prop_assert!(report.energy_efficiency().in_unit_interval());
         prop_assert!(report.buffer_delivered.get() >= 0.0);
         prop_assert!(report.server_downtime.get() >= 0.0);

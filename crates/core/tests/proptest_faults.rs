@@ -8,8 +8,8 @@
 //! account events consistently.
 
 use heb_core::{
-    FaultEvent, FaultKind, FaultProfile, FaultSchedule, PolicyKind, PowerMode, SimConfig,
-    SimDriver, SimReport, Simulation,
+    FaultEvent, FaultKind, FaultProfile, FaultSchedule, PolicyKind, PowerMode, Scenario, SimConfig,
+    SimReport,
 };
 use heb_units::{Ratio, Seconds, Watts};
 use heb_workload::{Archetype, SolarTraceBuilder};
@@ -133,9 +133,10 @@ proptest! {
             .scaled(intensity)
             .sized(config.servers, strings, 1);
         let schedule = FaultSchedule::stochastic(seed, horizon, &profile);
-        let sim = Simulation::new(config, &[Archetype::WebSearch], seed)
-            .with_faults(schedule.clone());
-        let report = SimDriver::tick(sim).run_ticks(TICKS);
+        let report = Scenario::from_ticks("chaos/stochastic", config, &[Archetype::WebSearch], TICKS, seed)
+            .with_faults(schedule.clone())
+            .run()
+            .unwrap();
         assert_chaos_invariants(&report, schedule.len());
     }
 
@@ -150,9 +151,10 @@ proptest! {
         let config = SimConfig::prototype()
             .with_policy(policy)
             .with_battery_strings(2);
-        let sim = Simulation::new(config, &[Archetype::Terasort], seed)
-            .with_faults(schedule.clone());
-        let report = SimDriver::tick(sim).run_ticks(TICKS);
+        let report = Scenario::from_ticks("chaos/scripted", config, &[Archetype::Terasort], TICKS, seed)
+            .with_faults(schedule.clone())
+            .run()
+            .unwrap();
         assert_chaos_invariants(&report, schedule.len());
     }
 
@@ -169,10 +171,11 @@ proptest! {
             .sized(config.servers, config.battery_strings, 1);
         let schedule = FaultSchedule::stochastic(seed, horizon, &profile);
         let trace = SolarTraceBuilder::new(Watts::new(400.0)).seed(seed).build();
-        let sim = Simulation::new(config, &[Archetype::WebSearch], seed)
+        let report = Scenario::from_ticks("chaos/solar", config, &[Archetype::WebSearch], TICKS, seed)
             .with_mode(PowerMode::Solar(trace))
-            .with_faults(schedule.clone());
-        let report = SimDriver::tick(sim).run_ticks(TICKS);
+            .with_faults(schedule.clone())
+            .run()
+            .unwrap();
         assert_chaos_invariants(&report, schedule.len());
     }
 }

@@ -19,7 +19,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use heb_core::{DriverMode, FaultSchedule, PolicyKind, Scenario, SimConfig, Simulation};
+use heb_core::{DriverMode, FaultSchedule, PolicyKind, Scenario, SimConfig};
 use heb_fleet::{FleetEngine, ReportSource, ResultCache, RunPolicy};
 use heb_telemetry::{RecorderHandle, RingRecorder};
 use heb_workload::Archetype;
@@ -83,8 +83,10 @@ proptest! {
 
         // The seed's tick loop: a raw Simulation stepped by hand.
         let raw_ring = Arc::new(RingRecorder::new(8192));
-        let mut sim = Simulation::new(config(), &[workload], seed)
-            .with_recorder(Arc::clone(&raw_ring) as RecorderHandle);
+        let mut sim = Scenario::new("parity/raw", config(), &[workload], HOURS, seed)
+            .with_recorder(Arc::clone(&raw_ring) as RecorderHandle)
+            .build()
+            .expect("valid scenario");
         for _ in 0..ticks {
             sim.step();
         }

@@ -141,3 +141,44 @@ fn quarantine_emits_typed_events_after_retries() {
     assert_eq!(engine.stats().retries, 2);
     assert_eq!(engine.stats().quarantined, 1);
 }
+
+#[test]
+fn nan_config_fields_quarantine_as_typed_errors_not_panics() {
+    let nan_tick = {
+        let mut c = SimConfig::prototype();
+        c.tick = heb_units::Seconds::new(f64::NAN);
+        c
+    };
+    let nan_budget = SimConfig::prototype().with_budget(Watts::new(f64::NAN));
+    let nan_noise = {
+        let mut c = SimConfig::prototype();
+        c.metering_noise = f64::NAN;
+        c
+    };
+    let batch: Vec<Scenario> = [nan_tick, nan_budget, nan_noise]
+        .into_iter()
+        .map(|config| {
+            Scenario::from_ticks(
+                "poison/nan",
+                config,
+                &[heb_workload::Archetype::WebSearch],
+                30,
+                23,
+            )
+        })
+        .collect();
+    let outcome = FleetEngine::new(1)
+        .with_policy(HardenPolicy {
+            max_retries: 0,
+            ..HardenPolicy::default()
+        })
+        .run(&batch, &RunPolicy::new());
+    for o in &outcome.outcomes {
+        assert_eq!(o.state, ScenarioState::Quarantined);
+        assert!(
+            matches!(&o.failure, Some(ScenarioFailure::Error { message }) if message.contains("NaN")),
+            "{:?}",
+            o.failure
+        );
+    }
+}

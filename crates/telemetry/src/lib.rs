@@ -18,9 +18,10 @@
 //!
 //! The overhead contract — instrumented code with a `NullRecorder`
 //! stays within noise of uninstrumented code — is enforced by the
-//! `--telemetry-guard` mode of the engine microbench (wired into
-//! `scripts/verify.sh`), plus a deterministic test proving `record()`
-//! is never reached when recording is disabled.
+//! telemetry-overhead guard of the engine microbench
+//! (`microbench -- --guard PATH`, wired into `scripts/verify.sh`),
+//! plus a deterministic test proving `record()` is never reached when
+//! recording is disabled.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,19 +11,17 @@
 //! ```
 
 use heb::workload::Archetype;
-use heb::{PolicyKind, SimConfig, SimDriver, SimError, Simulation, Watts};
+use heb::{PolicyKind, Scenario, SimConfig, SimError, Watts};
 
 fn main() -> Result<(), SimError> {
     let config = SimConfig::builder()
         .policy(PolicyKind::HebD)
         .budget(Watts::new(250.0))
         .build()?;
-    let mut driver = SimDriver::tick(Simulation::try_new(
-        config,
-        &[Archetype::Terasort, Archetype::WebSearch, Archetype::Dfsioe],
-        123,
-    )?);
-    let report = driver.run_for_hours(5.0);
+    let mix = [Archetype::Terasort, Archetype::WebSearch, Archetype::Dfsioe];
+    let scenario = Scenario::new("controller-trace", config, &mix, 5.0, 123);
+    let mut driver = scenario.build_driver()?;
+    let report = driver.run_ticks(scenario.ticks());
 
     println!(
         "{:>4}  {:>10} {:>10} {:>8}  {:>7} {:>7}",

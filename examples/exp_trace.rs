@@ -13,21 +13,19 @@
 
 use heb::telemetry::json_field;
 use heb::workload::Archetype;
-use heb::{FaultSchedule, JsonlRecorder, PolicyKind, SimConfig, SimDriver, Simulation};
+use heb::{FaultSchedule, JsonlRecorder, PolicyKind, Scenario, SimConfig};
 use std::sync::Arc;
 
 fn capture(path: &str) -> Result<(), Box<dyn std::error::Error>> {
     let config = SimConfig::builder().policy(PolicyKind::HebD).build()?;
-    let mut sim = Simulation::try_new(
-        config,
-        &[Archetype::WebSearch, Archetype::Terasort, Archetype::Dfsioe],
-        42,
-    )?
-    .with_faults(FaultSchedule::parse("brownout(0.9)@3600~1200")?);
-    sim.set_recorder(Arc::new(JsonlRecorder::create(path)?));
-    // The driver is a temporary: it drops the simulation at the end of
-    // this statement, so the recorder flushes before we re-read.
-    let report = SimDriver::tick(sim).run_for_hours(3.0);
+    let mix = [Archetype::WebSearch, Archetype::Terasort, Archetype::Dfsioe];
+    // The scenario is a temporary: it and the simulation it builds drop
+    // at the end of this statement, so the recorder flushes before we
+    // re-read.
+    let report = Scenario::new("exp-trace", config, &mix, 3.0, 42)
+        .with_faults(FaultSchedule::parse("brownout(0.9)@3600~1200")?)
+        .with_recorder(Arc::new(JsonlRecorder::create(path)?))
+        .run()?;
     println!(
         "captured 3 h of HEB-D telemetry to {path} (efficiency {:.1})",
         report.energy_efficiency()

@@ -6,7 +6,7 @@
 //! ```
 
 use heb::workload::Archetype;
-use heb::{PolicyKind, SimConfig, SimDriver, SimError, Simulation};
+use heb::{PolicyKind, Scenario, SimConfig, SimError};
 
 fn main() -> Result<(), SimError> {
     // The paper's prototype: six 30–70 W servers on a 260 W utility
@@ -22,8 +22,8 @@ fn main() -> Result<(), SimError> {
 
     // One hour of a mixed rack: web search (small peaks) alongside
     // Terasort (large peaks), exactly the two-group setup of Section 6.
-    let sim = Simulation::try_new(config, &[Archetype::WebSearch, Archetype::Terasort], 42)?;
-    let report = SimDriver::tick(sim).run_for_hours(1.0);
+    let mix = [Archetype::WebSearch, Archetype::Terasort];
+    let report = Scenario::new("quickstart", config, &mix, 1.0, 42).run()?;
 
     println!("\nafter {:.1} simulated hours:", report.sim_time.as_hours());
     println!(

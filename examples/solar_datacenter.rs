@@ -13,7 +13,7 @@
 use heb::core::experiments::deep_valley_absorption;
 use heb::core::SerialRunner;
 use heb::workload::{Archetype, SolarTraceBuilder};
-use heb::{PolicyKind, PowerMode, Ratio, SimConfig, SimDriver, SimError, Simulation, Watts};
+use heb::{PolicyKind, PowerMode, Ratio, Scenario, SimConfig, SimError, Watts};
 
 fn main() -> Result<(), SimError> {
     // A cloudy day on a 500 W array.
@@ -37,10 +37,10 @@ fn main() -> Result<(), SimError> {
     println!("\nfull-day REU by scheme (buffers start drained overnight):");
     for policy in [PolicyKind::BaOnly, PolicyKind::BaFirst, PolicyKind::HebD] {
         let config = SimConfig::builder().policy(policy).build()?;
-        let mut sim =
-            Simulation::try_new(config, &mix, 11)?.with_mode(PowerMode::Solar(trace.clone()));
-        sim.set_buffer_soc(Ratio::new_clamped(0.15));
-        let report = SimDriver::tick(sim).run_for_hours(24.0);
+        let report = Scenario::new(policy.name(), config, &mix, 24.0, 11)
+            .with_mode(PowerMode::Solar(trace.clone()))
+            .with_initial_soc(Ratio::new_clamped(0.15))
+            .run()?;
         println!(
             "  {:<8} REU {:>5.1}%  (generated {:>6.1} Wh, used {:>6.1} Wh)",
             policy.name(),

@@ -11,7 +11,7 @@
 //! ```
 
 use heb::workload::Archetype;
-use heb::{Joules, PolicyKind, SimConfig, SimDriver, SimError, Simulation, Watts};
+use heb::{Joules, PolicyKind, Scenario, SimConfig, SimError, Watts};
 
 fn main() -> Result<(), SimError> {
     // Aggressive under-provisioning: the stress regime the paper uses
@@ -32,14 +32,18 @@ fn main() -> Result<(), SimError> {
         "scheme", "eff", "downtime", "shed events", "PAT size"
     );
 
-    for policy in PolicyKind::ALL {
-        let config = base.clone().with_policy(policy);
-        let sim = Simulation::try_new(
-            config,
-            &[Archetype::Terasort, Archetype::Dfsioe, Archetype::WebSearch],
+    let mix = [Archetype::Terasort, Archetype::Dfsioe, Archetype::WebSearch];
+    let day = |policy: PolicyKind| {
+        Scenario::new(
+            policy.name(),
+            base.clone().with_policy(policy),
+            &mix,
+            6.0,
             7,
-        )?;
-        let report = SimDriver::tick(sim).run_for_hours(6.0);
+        )
+    };
+    for policy in PolicyKind::ALL {
+        let report = day(policy).run()?;
         println!(
             "{:<8} {:>9.1}% {:>9.0}s {:>12} {:>10}",
             policy.name(),
@@ -51,13 +55,9 @@ fn main() -> Result<(), SimError> {
     }
 
     // Peek inside HEB-D's learned allocation table.
-    let config = base.with_policy(PolicyKind::HebD);
-    let mut driver = SimDriver::tick(Simulation::try_new(
-        config,
-        &[Archetype::Terasort, Archetype::Dfsioe, Archetype::WebSearch],
-        7,
-    )?);
-    let _ = driver.run_for_hours(6.0);
+    let heb_d = day(PolicyKind::HebD);
+    let mut driver = heb_d.build_driver()?;
+    let _ = driver.run_ticks(heb_d.ticks());
     println!("\nHEB-D's learned power-allocation table (bucketed):");
     let mut entries: Vec<_> = driver.sim().controller().pat().iter().collect();
     entries.sort_by_key(|(k, _)| (k.pm_bucket, k.sc_bucket, k.ba_bucket));

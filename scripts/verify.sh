@@ -173,6 +173,23 @@ for src in crates/bench/src/bin/*.rs; do
 done
 echo "figure-binary smoke: $(ls crates/bench/src/bin/*.rs | wc -l) binaries ran, output independent of --jobs"
 
+echo "== example smoke (every examples/*.rs once at its defaults) and heb_sim bad-input smoke"
+cargo build -q --release --examples
+mkdir "$SMOKE/examples"
+for src in examples/*.rs; do
+  ex="$(basename "$src" .rs)"
+  # exp_trace captures into the temp dir and re-reads it from there.
+  TMPDIR="$SMOKE/examples" "target/release/examples/$ex" > "$SMOKE/examples/$ex.out"
+done
+echo "example smoke: $(ls examples/*.rs | wc -l) examples ran"
+# A non-finite fault time must be a typed parse error, not a run.
+if target/release/heb_sim --faults 'blackout@NaN' > "$SMOKE/nan-fault.out" 2> "$SMOKE/nan-fault.err"; then
+  echo "heb_sim smoke: --faults 'blackout@NaN' must exit non-zero" >&2
+  exit 1
+fi
+grep -q '^error: bad fault spec: .* in `blackout@NaN`$' "$SMOKE/nan-fault.err"
+echo "heb_sim smoke: a NaN fault time is rejected with the typed parse error"
+
 # One process, one verdict per guard; exits 1 if any guard failed:
 # telemetry overhead (median pair ratio <= 1.05), engine throughput,
 # megafleet scale and dense (each >= 0.25 of its recorded rate; scale

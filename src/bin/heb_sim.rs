@@ -12,8 +12,8 @@
 use heb::telemetry::{MetricsRecorder, TeeRecorder};
 use heb::workload::{read_trace_csv, Archetype, SolarTraceBuilder};
 use heb::{
-    FaultSchedule, Joules, JsonlRecorder, Metrics, PolicyKind, PowerMode, RecorderHandle, Seconds,
-    SimConfig, SimDriver, Simulation, Watts,
+    FaultSchedule, Joules, JsonlRecorder, Metrics, PolicyKind, PowerMode, RecorderHandle, Scenario,
+    Seconds, SimConfig, Watts,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -180,22 +180,27 @@ fn run_one(
         .sc_fraction(opts.sc_fraction)
         .build()
         .map_err(|e| e.to_string())?;
-    let mut sim =
-        Simulation::try_new(config, &opts.workloads, opts.seed).map_err(|e| e.to_string())?;
+    let mut scenario = Scenario::new(
+        policy.name(),
+        config,
+        &opts.workloads,
+        opts.hours,
+        opts.seed,
+    );
     if let Some(path) = &opts.supply_trace {
         let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
         let trace =
             read_trace_csv(file, Seconds::new(1.0)).map_err(|e| format!("parse {path}: {e}"))?;
-        sim = sim.with_mode(PowerMode::Solar(trace));
+        scenario = scenario.with_mode(PowerMode::Solar(trace));
     } else if let Some(peak) = opts.solar_peak {
         let trace = SolarTraceBuilder::new(Watts::new(peak))
             .seed(opts.seed)
             .days((opts.hours / 24.0).max(1.0).ceil())
             .build();
-        sim = sim.with_mode(PowerMode::Solar(trace));
+        scenario = scenario.with_mode(PowerMode::Solar(trace));
     }
     if let Some(schedule) = &opts.faults {
-        sim = sim.with_faults(schedule.clone());
+        scenario = scenario.with_faults(schedule.clone());
     }
     let metrics = opts.metrics.then(|| Arc::new(Metrics::new()));
     let mut branches: Vec<RecorderHandle> = Vec::new();
@@ -208,10 +213,11 @@ fn run_one(
     }
     match branches.len() {
         0 => {}
-        1 => sim.set_recorder(branches.pop().expect("one branch")),
-        _ => sim.set_recorder(Arc::new(TeeRecorder::new(branches))),
+        1 => scenario = scenario.with_recorder(branches.pop().expect("one branch")),
+        _ => scenario = scenario.with_recorder(Arc::new(TeeRecorder::new(branches))),
     }
-    Ok((SimDriver::tick(sim).run_for_hours(opts.hours), metrics))
+    let report = scenario.run().map_err(|e| e.to_string())?;
+    Ok((report, metrics))
 }
 
 fn main() -> ExitCode {

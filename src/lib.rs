@@ -19,7 +19,8 @@
 //!   trace generators;
 //! * [`forecast`] — Holt-Winters and baseline predictors;
 //! * [`core`] — the HEB controller, the six Table 2 policies, the
-//!   power-allocation table, and the end-to-end [`Simulation`];
+//!   power-allocation table, and the end-to-end [`Simulation`], built
+//!   and run from a [`Scenario`];
 //! * [`tco`] — the Figure 15 economics (cost breakdown, ROI,
 //!   peak-shaving revenue);
 //! * [`telemetry`] — typed trace events, zero-cost recorders
@@ -29,14 +30,15 @@
 //! # Quickstart
 //!
 //! ```
-//! use heb::{PolicyKind, SimConfig, SimDriver, Simulation};
+//! use heb::{PolicyKind, Scenario, SimConfig};
 //! use heb::workload::Archetype;
 //!
 //! // Simulate the scale-down prototype for half an hour under the
 //! // dynamic HEB policy:
 //! let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-//! let sim = Simulation::new(config, &[Archetype::WebSearch], 42);
-//! let report = SimDriver::tick(sim).run_for_hours(0.5);
+//! let report = Scenario::new("quickstart", config, &[Archetype::WebSearch], 0.5, 42)
+//!     .run()
+//!     .unwrap();
 //! println!("buffer efficiency: {}", report.energy_efficiency());
 //! assert!(report.energy_efficiency().get() > 0.5);
 //! ```
@@ -55,7 +57,7 @@ pub use heb_workload as workload;
 
 pub use heb_core::{
     experiments, ConfigError, FaultInjector, FaultKind, FaultLedger, FaultProfile, FaultSchedule,
-    HebController, HybridBuffers, PolicyKind, PowerAllocationTable, PowerMode, SimConfig,
+    HebController, HybridBuffers, PolicyKind, PowerAllocationTable, PowerMode, Scenario, SimConfig,
     SimConfigBuilder, SimDriver, SimError, SimReport, Simulation, SlotPlan,
 };
 pub use heb_esd::{Bank, LeadAcidBattery, StorageDevice, SuperCapacitor};

@@ -3,7 +3,7 @@
 //! invariants that no single crate can verify alone.
 
 use heb::workload::{Archetype, SolarTraceBuilder};
-use heb::{Joules, PolicyKind, PowerMode, Ratio, SimConfig, SimDriver, Simulation, Watts};
+use heb::{Joules, PolicyKind, PowerMode, Ratio, Scenario, SimConfig, SimReport, Watts};
 
 fn mixed_rack() -> [Archetype; 4] {
     [
@@ -14,12 +14,20 @@ fn mixed_rack() -> [Archetype; 4] {
     ]
 }
 
+/// `hours` of the mixed rack under `config`.
+fn rack(config: SimConfig, hours: f64, seed: u64) -> Scenario {
+    Scenario::new("e2e", config, &mixed_rack(), hours, seed)
+}
+
+fn run(scenario: &Scenario) -> SimReport {
+    scenario.run().expect("valid scenario")
+}
+
 #[test]
 fn every_policy_survives_a_simulated_day() {
     for policy in PolicyKind::ALL {
         let config = SimConfig::prototype().with_policy(policy);
-        let sim = Simulation::new(config, &mixed_rack(), 99);
-        let report = SimDriver::tick(sim).run_for_hours(24.0);
+        let report = run(&rack(config, 24.0, 99));
         assert_eq!(report.sim_time.as_hours(), 24.0, "{policy}");
         assert!(report.slots >= 143, "{policy} ran {} slots", report.slots);
         // Energy books must balance to numerical noise.
@@ -45,9 +53,10 @@ fn buffer_energy_is_conserved_against_flows() {
     // Initial + stored − drained must equal final available, within the
     // kinetic slack a battery keeps between its wells.
     let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-    let mut driver = SimDriver::tick(Simulation::new(config, &mixed_rack(), 5));
+    let scenario = rack(config, 6.0, 5);
+    let mut driver = scenario.build_driver().expect("valid scenario");
     let initial = driver.sim().buffers().total_available();
-    let report = driver.run_for_hours(6.0);
+    let report = driver.run_ticks(scenario.ticks());
     let expected = initial + report.charge_stored - report.buffer_drained;
     let actual = driver.sim().buffers().total_available();
     let drift = (expected - actual).get().abs();
@@ -63,8 +72,7 @@ fn no_downtime_when_budget_covers_nameplate() {
     // ever shed a server.
     let config = SimConfig::prototype().with_budget(Watts::new(425.0));
     for policy in [PolicyKind::BaOnly, PolicyKind::HebD] {
-        let sim = Simulation::new(config.clone().with_policy(policy), &mixed_rack(), 3);
-        let report = SimDriver::tick(sim).run_for_hours(4.0);
+        let report = run(&rack(config.clone().with_policy(policy), 4.0, 3));
         assert_eq!(report.server_downtime.get(), 0.0, "{policy}");
         assert_eq!(report.shed_events, 0, "{policy}");
     }
@@ -79,11 +87,7 @@ fn deeper_underprovisioning_never_reduces_downtime() {
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(budget))
             .with_total_capacity(Joules::from_watt_hours(60.0));
-        let sim = Simulation::new(config, &mixed_rack(), 8);
-        let down = SimDriver::tick(sim)
-            .run_for_hours(6.0)
-            .server_downtime
-            .get();
+        let down = run(&rack(config, 6.0, 8)).server_downtime.get();
         assert!(
             down >= last,
             "budget {budget}: downtime {down} fell below {last}"
@@ -100,11 +104,7 @@ fn bigger_buffers_never_hurt() {
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(240.0))
             .with_total_capacity(Joules::from_watt_hours(wh));
-        let sim = Simulation::new(config, &mixed_rack(), 21);
-        let down = SimDriver::tick(sim)
-            .run_for_hours(6.0)
-            .server_downtime
-            .get();
+        let down = run(&rack(config, 6.0, 21)).server_downtime.get();
         assert!(
             down <= last,
             "{wh} Wh: downtime {down} above smaller buffer's {last}"
@@ -125,10 +125,9 @@ fn solar_rack_reu_is_a_valid_fraction_and_hybrids_lead() {
     let mut reu_heb = 0.0;
     for policy in [PolicyKind::BaOnly, PolicyKind::HebD] {
         let config = SimConfig::prototype().with_policy(policy);
-        let mut sim =
-            Simulation::new(config, &mixed_rack(), 31).with_mode(PowerMode::Solar(trace.clone()));
-        sim.set_buffer_soc(Ratio::new_clamped(0.15));
-        let report = SimDriver::tick(sim).run_for_hours(24.0);
+        let report = run(&rack(config, 24.0, 31)
+            .with_mode(PowerMode::Solar(trace.clone()))
+            .with_initial_soc(Ratio::new_clamped(0.15)));
         let reu = report.reu().get();
         assert!((0.0..=1.0).contains(&reu));
         match policy {
@@ -146,8 +145,9 @@ fn solar_rack_reu_is_a_valid_fraction_and_hybrids_lead() {
 fn relay_fabric_reflects_policy() {
     // BaOnly must never point a relay at the (empty) SC pool.
     let config = SimConfig::prototype().with_policy(PolicyKind::BaOnly);
-    let mut driver = SimDriver::tick(Simulation::new(config, &mixed_rack(), 12));
-    let report = driver.run_for_hours(2.0);
+    let scenario = rack(config, 2.0, 12);
+    let mut driver = scenario.build_driver().expect("valid scenario");
+    let report = driver.run_ticks(scenario.ticks());
     assert!(driver.sim().buffers().sc_pool().is_empty());
     assert_eq!(report.pat_entries, 0);
 }
@@ -158,8 +158,14 @@ fn controller_learns_only_under_dynamic_policies() {
         let config = SimConfig::prototype()
             .with_policy(policy)
             .with_budget(Watts::new(245.0));
-        let sim = Simulation::new(config, &[Archetype::Terasort], 77);
-        SimDriver::tick(sim).run_for_hours(8.0).pat_entries
+        run(&Scenario::new(
+            "e2e",
+            config,
+            &[Archetype::Terasort],
+            8.0,
+            77,
+        ))
+        .pat_entries
     };
     assert_eq!(run(PolicyKind::ScFirst), 0);
     assert!(run(PolicyKind::HebD) > 0, "HEB-D must populate its PAT");
@@ -169,8 +175,7 @@ fn controller_learns_only_under_dynamic_policies() {
 fn identical_seeds_reproduce_identical_reports() {
     let make = || {
         let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-        let sim = Simulation::new(config, &mixed_rack(), 4242);
-        SimDriver::tick(sim).run_for_hours(3.0)
+        run(&rack(config, 3.0, 4242))
     };
     let a = make();
     let b = make();
@@ -182,8 +187,9 @@ fn buffers_cycle_rather_than_only_drain() {
     // Over a long run the buffers must both discharge and recharge —
     // the control loop is a cycle, not a one-way drain.
     let config = SimConfig::prototype().with_policy(PolicyKind::HebD);
-    let mut driver = SimDriver::tick(Simulation::new(config, &mixed_rack(), 64));
-    let report = driver.run_for_hours(12.0);
+    let scenario = rack(config, 12.0, 64);
+    let mut driver = scenario.build_driver().expect("valid scenario");
+    let report = driver.run_ticks(scenario.ticks());
     assert!(report.buffer_delivered.get() > 0.0, "never discharged");
     assert!(report.charge_stored.get() > 0.0, "never recharged");
     // And the pools must end somewhere inside their window.

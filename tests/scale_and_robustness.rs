@@ -3,7 +3,7 @@
 //! instrumentation.
 
 use heb::workload::Archetype;
-use heb::{Joules, PolicyKind, SimConfig, SimDriver, Simulation, Watts};
+use heb::{Joules, PolicyKind, Scenario, SimConfig, SimReport, Watts};
 
 /// A 48-server hall with proportionally scaled budget and buffers.
 fn hall_config(policy: PolicyKind) -> SimConfig {
@@ -15,10 +15,15 @@ fn hall_config(policy: PolicyKind) -> SimConfig {
     config
 }
 
+fn run(config: SimConfig, mix: &[Archetype], hours: f64, seed: u64) -> SimReport {
+    Scenario::new("scale", config, mix, hours, seed)
+        .run()
+        .expect("valid scenario")
+}
+
 #[test]
 fn datacenter_scale_run_holds_invariants() {
-    let sim = Simulation::new(hall_config(PolicyKind::HebD), &Archetype::ALL, 2024);
-    let report = SimDriver::tick(sim).run_for_hours(6.0);
+    let report = run(hall_config(PolicyKind::HebD), &Archetype::ALL, 6.0, 2024);
     assert_eq!(report.sim_time.as_hours(), 6.0);
     assert!(report.buffer_delivered.get() > 0.0);
     assert!(
@@ -36,12 +41,9 @@ fn datacenter_scale_run_holds_invariants() {
 fn scale_out_preserves_scheme_ordering() {
     // The HEB-vs-BaOnly efficiency win must survive the jump from 6 to
     // 48 servers.
-    let run = |policy| {
-        let sim = Simulation::new(hall_config(policy), &Archetype::ALL, 7);
-        SimDriver::tick(sim).run_for_hours(4.0)
-    };
-    let heb = run(PolicyKind::HebD);
-    let ba = run(PolicyKind::BaOnly);
+    let hall = |policy| run(hall_config(policy), &Archetype::ALL, 4.0, 7);
+    let heb = hall(PolicyKind::HebD);
+    let ba = hall(PolicyKind::BaOnly);
     assert!(
         heb.energy_efficiency() > ba.energy_efficiency(),
         "HEB-D {} vs BaOnly {}",
@@ -55,16 +57,20 @@ fn metering_noise_degrades_gracefully() {
     // A 3 % instrument must not break the controller: the run completes,
     // books balance, and performance stays within a sane band of the
     // ideal-instrument run.
-    let run = |noise: f64| {
+    let metered = |noise: f64| {
         let mut config = SimConfig::prototype()
             .with_policy(PolicyKind::HebD)
             .with_budget(Watts::new(250.0));
         config.metering_noise = noise;
-        let sim = Simulation::new(config, &[Archetype::Terasort, Archetype::WebSearch], 33);
-        SimDriver::tick(sim).run_for_hours(6.0)
+        run(
+            config,
+            &[Archetype::Terasort, Archetype::WebSearch],
+            6.0,
+            33,
+        )
     };
-    let clean = run(0.0);
-    let noisy = run(0.03);
+    let clean = metered(0.0);
+    let noisy = metered(0.03);
     assert!(
         ((noisy.buffer_delivered + noisy.discharge_loss) - noisy.buffer_drained)
             .get()
@@ -85,8 +91,7 @@ fn heavy_noise_is_survivable() {
     // panic or produce nonsense accounting.
     let mut config = SimConfig::prototype().with_policy(PolicyKind::HebD);
     config.metering_noise = 0.10;
-    let sim = Simulation::new(config, &[Archetype::Dfsioe], 1);
-    let report = SimDriver::tick(sim).run_for_hours(2.0);
+    let report = run(config, &[Archetype::Dfsioe], 2.0, 1);
     assert!(report.energy_efficiency().in_unit_interval());
     assert!(report.server_downtime.get() >= 0.0);
 }
@@ -98,8 +103,7 @@ fn single_server_rack_works() {
     config.servers = 1;
     config.budget = Watts::new(45.0);
     config.total_capacity = Joules::from_watt_hours(25.0);
-    let sim = Simulation::new(config, &[Archetype::WebSearch], 3);
-    let report = SimDriver::tick(sim).run_for_hours(2.0);
+    let report = run(config, &[Archetype::WebSearch], 2.0, 3);
     assert_eq!(report.sim_time.as_hours(), 2.0);
     assert!(report.energy_efficiency().in_unit_interval());
 }
