@@ -173,6 +173,9 @@ for src in crates/bench/src/bin/*.rs; do
 done
 echo "figure-binary smoke: $(ls crates/bench/src/bin/*.rs | wc -l) binaries ran, output independent of --jobs"
 
+echo "== results archive (every results/*.txt regenerated at its recorded arguments and diffed)"
+scripts/results.sh --check "$SMOKE/results"
+
 echo "== example smoke (every examples/*.rs once at its defaults) and heb_sim bad-input smoke"
 cargo build -q --release --examples
 mkdir "$SMOKE/examples"
