@@ -4,6 +4,12 @@ use crate::policy::PolicyKind;
 use heb_powersys::Topology;
 use heb_units::{Joules, Ratio, Seconds, Watts};
 
+/// The most metering ticks one control slot may span: a day of 1 s
+/// ticks. The meter keeps one slot of samples, so this bounds its
+/// window; the longest slot in use spans 1,200 ticks (20 minutes at
+/// 1 s, `fig12_schemes --ablate-slot`).
+pub const MAX_TICKS_PER_SLOT: u64 = 86_400;
+
 /// Everything a [`Simulation`](crate::Simulation) run is parameterised
 /// by. Defaults mirror the scale-down prototype of Section 6.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,7 +149,8 @@ impl SimConfig {
         self
     }
 
-    /// Ticks per control slot.
+    /// Ticks per control slot, at most [`MAX_TICKS_PER_SLOT`] in a
+    /// config that passes [`SimConfig::try_validate`].
     #[must_use]
     pub fn ticks_per_slot(&self) -> u64 {
         (self.slot_length.get() / self.tick.get()).round().max(1.0) as u64
@@ -187,6 +194,12 @@ impl SimConfig {
                 slot,
                 tick: self.tick.get(),
             });
+        }
+        // The meter keeps one slot of samples: an infinite slot, or a
+        // tick far shorter than the slot, asks for an unbounded window.
+        let ticks_per_slot = slot / self.tick.get();
+        if ticks_per_slot.round() > MAX_TICKS_PER_SLOT as f64 {
+            return Err(ConfigError::SlotTooLong { ticks_per_slot });
         }
         if !non_negative(self.small_peak_threshold.get()) {
             return Err(ConfigError::NegativeSmallPeakThreshold(
@@ -243,6 +256,12 @@ pub enum ConfigError {
         /// Configured metering tick, seconds.
         tick: f64,
     },
+    /// The control slot spans more than [`MAX_TICKS_PER_SLOT`] metering
+    /// ticks, or infinitely many.
+    SlotTooLong {
+        /// Configured slot length over configured tick.
+        ticks_per_slot: f64,
+    },
     /// The small-peak threshold is negative (watts).
     NegativeSmallPeakThreshold(f64),
     /// The PAT self-optimisation step `Δr` is outside `(0, 1]`.
@@ -280,6 +299,12 @@ impl core::fmt::Display for ConfigError {
                 write!(
                     f,
                     "slot must span at least one tick ({slot} s slot < {tick} s tick)"
+                )
+            }
+            ConfigError::SlotTooLong { ticks_per_slot } => {
+                write!(
+                    f,
+                    "slot must span at most {MAX_TICKS_PER_SLOT} ticks, got {ticks_per_slot}"
                 )
             }
             ConfigError::NegativeSmallPeakThreshold(w) => {
@@ -537,7 +562,7 @@ mod tests {
     fn try_validate_reports_typed_errors() {
         type Edit = fn(&mut SimConfig);
         // Errors compare by their debug form, so a NaN payload matches.
-        let cases: [(Edit, &str); 13] = [
+        let cases: [(Edit, &str); 16] = [
             (|c| c.servers = 0, "NoServers"),
             (|c| c.battery_strings = 0, "NoBatteryStrings"),
             (|c| c.budget = Watts::new(-1.0), "NegativeBudget(-1.0)"),
@@ -563,6 +588,19 @@ mod tests {
                     c.slot_length = Seconds::new(f64::INFINITY);
                 },
                 "NonPositiveTick(inf)",
+            ),
+            // These asked the meter for an unbounded window.
+            (
+                |c| c.slot_length = Seconds::new(f64::INFINITY),
+                "SlotTooLong { ticks_per_slot: inf }",
+            ),
+            (
+                |c| c.tick = Seconds::new(1e-9),
+                "SlotTooLong { ticks_per_slot: 600000000000.0 }",
+            ),
+            (
+                |c| c.slot_length = Seconds::new(1e12),
+                "SlotTooLong { ticks_per_slot: 1000000000000.0 }",
             ),
             (|c| c.budget = Watts::new(f64::NAN), "NegativeBudget(NaN)"),
             (

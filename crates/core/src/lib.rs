@@ -76,7 +76,7 @@ mod scenario;
 mod sim;
 
 pub use buffers::HybridBuffers;
-pub use config::{ConfigError, SimConfig, SimConfigBuilder};
+pub use config::{ConfigError, SimConfig, SimConfigBuilder, MAX_TICKS_PER_SLOT};
 pub use controller::{HebController, SlotPlan};
 pub use errors::SimError;
 pub use event::{DriverMode, SimClock, SimDriver};

@@ -7,7 +7,10 @@
 //! — and then fails the builder and [`Scenario::run`] with the same
 //! error — or runs.
 
-use heb_core::{FaultKind, FaultSchedule, PolicyKind, Scenario, SimConfig, SimError, SimReport};
+use heb_core::{
+    ConfigError, FaultKind, FaultSchedule, PolicyKind, Scenario, SimConfig, SimError, SimReport,
+    MAX_TICKS_PER_SLOT,
+};
 use heb_units::{Joules, Ratio, Seconds, Watts};
 use heb_workload::Archetype;
 use proptest::prelude::*;
@@ -145,29 +148,29 @@ fn field<T: Copy + 'static>(bad: &[T], good: &[T]) -> proptest::sample::Select<T
 /// The f64 fields of a [`SimConfig`], in declaration order (ratios
 /// raw): budget, capacity (Wh), sc_fraction, dod_limit, slot, tick,
 /// small-peak threshold, delta_r, energy bucket (Wh), power bucket,
-/// metering noise — each drawn from NaN, negative, zero and in-range
-/// values.
+/// metering noise — each drawn from NaN, ±∞, negative, zero and
+/// in-range values. A 1e12 s slot and a 1e-9 s tick each ask for a
+/// meter window far past any real slot.
 type Floats = (f64, f64, f64, f64, f64, f64, f64, f64, f64, f64, f64);
 
 fn floats() -> impl Strategy<Value = Floats> {
     let nan = f64::NAN;
+    let inf = f64::INFINITY;
     (
         (
-            field(&[nan, -50.0], &[0.0, 260.0, 1.0e4]),
-            field(&[nan, -1.0, 0.0], &[150.0, 0.01]),
-            field(&[nan, -0.2, 1.5], &[0.0, 0.3, 1.0]),
-            field(&[nan, -0.2, 0.0, 1.5], &[0.8, 1.0]),
-            field(&[nan, -60.0, 0.0], &[0.5, 60.0, 600.0]),
-            // Sub-microsecond ticks size the meter window by the
-            // slot/tick ratio; they stay out of this property.
-            field(&[nan, -1.0, 0.0], &[0.5, 1.0, 2.0]),
+            field(&[nan, inf, -inf, -50.0], &[0.0, 260.0, 1.0e4]),
+            field(&[nan, inf, -inf, -1.0, 0.0], &[150.0, 0.01]),
+            field(&[nan, inf, -inf, -0.2, 1.5], &[0.0, 0.3, 1.0]),
+            field(&[nan, inf, -inf, -0.2, 0.0, 1.5], &[0.8, 1.0]),
+            field(&[nan, inf, -inf, -60.0, 0.0, 1.0e12], &[0.5, 60.0, 600.0]),
+            field(&[nan, inf, -inf, -1.0, 0.0, 1.0e-9], &[0.5, 1.0, 2.0]),
         ),
         (
-            field(&[nan, -1.0], &[0.0, 80.0]),
-            field(&[nan, -0.01, 0.0], &[0.01, 1.0]),
-            field(&[nan, -1.0, 0.0], &[10.0]),
-            field(&[nan, -1.0, 0.0], &[20.0]),
-            field(&[nan, -0.1], &[0.0, 0.03]),
+            field(&[nan, inf, -inf, -1.0], &[0.0, 80.0]),
+            field(&[nan, inf, -inf, -0.01, 0.0], &[0.01, 1.0]),
+            field(&[nan, inf, -inf, -1.0, 0.0], &[10.0]),
+            field(&[nan, inf, -inf, -1.0, 0.0], &[20.0]),
+            field(&[nan, inf, -inf, -0.1], &[0.0, 0.03]),
         ),
     )
         .prop_map(|((b, c, sc, dod, slot, tick), (th, dr, eb, pb, noise))| {
@@ -210,6 +213,34 @@ fn config(floats: Floats, counts: (usize, usize, usize, PolicyKind)) -> SimConfi
 /// Errors compared by their debug form, so a NaN payload matches.
 fn verdict<T>(result: &Result<T, impl std::fmt::Debug>) -> Option<String> {
     result.as_ref().err().map(|e| format!("{e:?}"))
+}
+
+/// A slot that would size the meter window past [`MAX_TICKS_PER_SLOT`]
+/// samples, or without bound, is a typed config error from
+/// [`Scenario::run`]; a slot of exactly the bound runs.
+#[test]
+fn unbounded_meter_windows_are_config_errors() {
+    let bound = MAX_TICKS_PER_SLOT as f64;
+    for (slot, tick) in [
+        (f64::INFINITY, 1.0),
+        (1.0e12, 1.0),
+        (600.0, 1.0e-9),
+        (bound + 1.0, 1.0),
+    ] {
+        let mut config = SimConfig::prototype();
+        config.slot_length = Seconds::new(slot);
+        config.tick = Seconds::new(tick);
+        let run = Scenario::from_ticks("window", config, &[Archetype::WebSearch], 3, 1).run();
+        assert!(
+            matches!(run, Err(SimError::Config(ConfigError::SlotTooLong { .. }))),
+            "{slot} s slot on a {tick} s tick gave {:?}",
+            run.map(|_| ())
+        );
+    }
+    let mut config = SimConfig::prototype();
+    config.slot_length = Seconds::new(bound);
+    let run = Scenario::from_ticks("window", config, &[Archetype::WebSearch], 3, 1).run();
+    assert!(run.is_ok());
 }
 
 proptest! {
