@@ -5,6 +5,16 @@ use heb_esd::{
 };
 use heb_units::{AmpHours, Farads, Joules, Ratio, Seconds, Volts, Watts};
 
+/// One of the two pools, for dispatch in a plan's order; it also
+/// indexes per-pool arrays (`[sc, ba]`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pool {
+    /// The super-capacitor pool.
+    Sc = 0,
+    /// The battery pool.
+    Ba = 1,
+}
+
 /// The SC pool and battery pool, sized jointly.
 ///
 /// All compared schemes get *equal total usable capacity* (the paper's
@@ -152,11 +162,12 @@ impl HybridBuffers {
         self.sc_pool.max_discharge_power() + self.ba_pool.max_discharge_power()
     }
 
-    /// Advances both pools one idle tick (used when neither charges nor
-    /// discharges this tick).
-    pub fn idle(&mut self, dt: Seconds) {
-        self.sc_pool.idle(dt);
-        self.ba_pool.idle(dt);
+    /// `pool` as a device, to dispatch it by name.
+    pub(crate) fn pool_mut(&mut self, pool: Pool) -> &mut dyn StorageDevice {
+        match pool {
+            Pool::Sc => &mut self.sc_pool,
+            Pool::Ba => &mut self.ba_pool,
+        }
     }
 
     /// One batched settling sweep over every device in both pools (SC
@@ -241,6 +252,8 @@ mod tests {
             Ratio::new_clamped(0.8),
         );
         assert!(b.sc_pool().is_empty());
+        // An empty pool has no usable capacity, so its SoC reads zero.
+        assert_eq!(b.sc_pool().soc(), Ratio::ZERO);
         assert!((b.total_capacity().as_watt_hours().get() - 150.0).abs() < 0.5);
         assert!(b.battery_projected_lifetime().is_some());
     }
