@@ -145,8 +145,9 @@ fn claim_fig12b_downtime_ordering() {
 }
 
 /// Figure 12(c): SC-preferential schemes cut battery wear by a large
-/// factor — at least the paper's 4.7×. Ours runs larger (7.4× in the
-/// 8 h table); the 10× ceiling keeps that gap from growing unnoticed
+/// factor — at least the paper's 4.7×. Ours runs larger (7.48× in
+/// this 4 h run, 6.8× in the 8 h table of `results/fig12_schemes.txt`);
+/// the 10× ceiling keeps that gap from growing unnoticed
 /// (EXPERIMENTS.md, "Magnitude gaps").
 #[test]
 fn claim_fig12c_battery_life_extension() {
