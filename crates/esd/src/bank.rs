@@ -215,6 +215,13 @@ impl<D: StorageDevice> Bank<D> {
     /// `dt`, so re-offering to an already-driven member would make it
     /// live two ticks in one. Members never driven this call idle
     /// instead (battery recovery keeps flowing).
+    ///
+    /// A one-member bank skips the split when `total > 1e-9`: its
+    /// member is driven with exactly `total` (pass 1 offers
+    /// `total·(w/w) = total` for a finite positive weight `w`, and pass
+    /// 2 offers `total` when `w` is zero, negative or NaN), and a
+    /// quarantined member idles. The weight is then never computed; a
+    /// smaller or NaN `total` takes the general path.
     fn dispatch<R: Copy + Default>(
         &mut self,
         total: Watts,
@@ -231,6 +238,25 @@ impl<D: StorageDevice> Bank<D> {
         if total.get() <= 0.0 {
             self.idle(dt);
             return acc;
+        }
+        if let ([member], [quarantined]) =
+            (self.devices.as_mut_slice(), self.quarantined.as_slice())
+        {
+            if *quarantined {
+                member.idle(dt);
+                return acc;
+            }
+            if total.get() > 1e-9 {
+                // An infinite weight would make pass 1 offer
+                // `total·(∞/∞)`, a NaN; every device here reports a
+                // finite power limit.
+                debug_assert!(
+                    weight(&*member).get() != f64::INFINITY,
+                    "a member's power limit must not be +inf"
+                );
+                absorb(&mut acc, f(member, total, dt));
+                return acc;
+            }
         }
         // Quarantined members carry zero weight and are skipped by both
         // passes; they idle with the rest of the untouched members.

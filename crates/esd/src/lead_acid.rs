@@ -183,7 +183,7 @@ impl LeadAcidParams {
 /// assert!(step.delivered.get() > 0.0);
 /// assert!(battery.available_energy() < full);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LeadAcidBattery {
     params: LeadAcidParams,
     /// Available-well charge in coulombs.
@@ -193,6 +193,62 @@ pub struct LeadAcidBattery {
     /// String temperature, °C.
     temperature_c: f64,
     lifetime: AhThroughputModel,
+    /// The step constants of the last `dt` a charge, discharge or idle
+    /// ran. Not state: a pure function of `dt` and the KiBaM `k` and
+    /// `c`, which no method changes, so equality ignores it.
+    step_memo: KineticStep,
+}
+
+/// Equality is over simulated state only; the step-constant memo is
+/// ignored.
+impl PartialEq for LeadAcidBattery {
+    fn eq(&self, other: &Self) -> bool {
+        let Self {
+            params,
+            y1,
+            y2,
+            temperature_c,
+            lifetime,
+            step_memo: _,
+        } = self;
+        *params == other.params
+            && *y1 == other.y1
+            && *y2 == other.y2
+            && *temperature_c == other.temperature_c
+            && *lifetime == other.lifetime
+    }
+}
+
+/// The parts of the closed-form KiBaM step that depend only on `k`,
+/// `c` and `dt`: `e = exp(−k·dt)` and the current coefficient `B1` of
+/// `y1(dt; i) = A1 − i·B1`.
+#[derive(Debug, Clone, Copy)]
+struct KineticStep {
+    /// The bits of the `dt` the constants were computed for.
+    dt_bits: u64,
+    e: f64,
+    b1: f64,
+}
+
+impl KineticStep {
+    fn new(k: f64, c: f64, dt: f64) -> Self {
+        let e = (-k * dt).exp();
+        let b1 = (1.0 - e) / k + c * (k * dt - 1.0 + e) / k;
+        Self {
+            dt_bits: dt.to_bits(),
+            e,
+            b1,
+        }
+    }
+}
+
+/// The closed-form KiBaM step from the present wells: `e` and the
+/// affine map `y1(dt; i) = a1 − i·b1`.
+#[derive(Debug, Clone, Copy)]
+struct Kinetics {
+    e: f64,
+    a1: f64,
+    b1: f64,
 }
 
 impl LeadAcidBattery {
@@ -211,6 +267,7 @@ impl LeadAcidBattery {
             y1: params.kibam_c * q_max,
             y2: (1.0 - params.kibam_c) * q_max,
             temperature_c: params.thermal.ambient_c,
+            step_memo: KineticStep::new(params.kibam_k, params.kibam_c, 1.0),
             params,
             lifetime,
         }
@@ -323,11 +380,12 @@ impl LeadAcidBattery {
 
     /// Advances the KiBaM wells under constant current `i` (positive =
     /// discharge) for `dt`, clamping wells to their physical bounds.
-    fn advance_wells(&mut self, i: f64, dt: f64) {
-        let (a1, b1) = self.kinetic_coefficients(dt);
+    /// `kin` is the closed-form step from the present wells at the
+    /// same `dt`.
+    fn advance_wells(&mut self, i: f64, dt: f64, kin: Kinetics) {
+        let Kinetics { e, a1, b1 } = kin;
         let k = self.params.kibam_k;
         let c = self.params.kibam_c;
-        let e = (-k * dt).exp();
         let q0 = self.q_total();
         let y1 = a1 - i * b1;
         let y2 = self.y2 * e + q0 * (1.0 - c) * (1.0 - e) - i * (1.0 - c) * (k * dt - 1.0 + e) / k;
@@ -335,22 +393,37 @@ impl LeadAcidBattery {
         self.y2 = y2.clamp(0.0, (1.0 - c) * self.q_max());
     }
 
-    /// Coefficients of the affine map `y1(dt; i) = A1 − i·B1` given by the
-    /// closed-form KiBaM solution for constant current.
-    fn kinetic_coefficients(&self, dt: f64) -> (f64, f64) {
-        let k = self.params.kibam_k;
+    /// The step constants for `dt`: the memo's when it holds `dt`,
+    /// else computed by the same expressions.
+    fn step_constants(&self, dt: f64) -> KineticStep {
+        if self.step_memo.dt_bits == dt.to_bits() {
+            self.step_memo
+        } else {
+            KineticStep::new(self.params.kibam_k, self.params.kibam_c, dt)
+        }
+    }
+
+    /// The closed-form step over `dt` from the present wells, keeping
+    /// its step constants for the next call.
+    fn kinetics_mut(&mut self, dt: f64) -> Kinetics {
+        self.step_memo = self.step_constants(dt);
+        self.kinetics(self.step_memo)
+    }
+
+    /// The closed-form step with constants `step` from the present
+    /// wells.
+    fn kinetics(&self, step: KineticStep) -> Kinetics {
         let c = self.params.kibam_c;
-        let e = (-k * dt).exp();
+        let e = step.e;
         let q0 = self.q_total();
         let a1 = self.y1 * e + q0 * c * (1.0 - e);
-        let b1 = (1.0 - e) / k + c * (k * dt - 1.0 + e) / k;
-        (a1, b1)
+        Kinetics { e, a1, b1: step.b1 }
     }
 
     /// The largest discharge current sustainable for `dt` seconds given
     /// kinetic availability, the voltage cutoff, and the DoD floor.
-    fn max_discharge_current(&self, dt: f64) -> f64 {
-        let (a1, b1) = self.kinetic_coefficients(dt);
+    fn max_discharge_current(&self, dt: f64, kin: Kinetics) -> f64 {
+        let Kinetics { a1, b1, .. } = kin;
         let i_kinetic = if b1 > 0.0 { a1 / b1 } else { 0.0 };
         let r = self.effective_resistance().get();
         let i_voltage = (self.ocv() - self.params.cutoff_voltage).get() / r;
@@ -366,13 +439,13 @@ impl LeadAcidBattery {
     /// capacity; beyond that, acceptance is paced by how fast charge
     /// migrates into the bound well — the real absorption-phase taper
     /// of lead-acid charging.
-    fn max_charge_current(&self, dt: f64) -> f64 {
+    fn max_charge_current(&self, dt: f64, kin: Kinetics) -> f64 {
         let i_cap = self.params.max_charge_c_rate * self.params.capacity.get();
         let ce = self.params.coulombic_efficiency.get().max(1e-6);
         let headroom_q = (self.q_max() - self.q_total()).max(0.0);
         let i_fill = headroom_q / (ce * dt);
         // Kinetic acceptance: keep y1(dt) within the available well.
-        let (a1, b1) = self.kinetic_coefficients(dt);
+        let Kinetics { a1, b1, .. } = kin;
         let y1_cap = self.params.kibam_c * self.q_max();
         let i_accept = if b1 > 0.0 {
             ((y1_cap - a1) / (b1 * ce)).max(0.0)
@@ -401,13 +474,13 @@ impl StorageDevice for LeadAcidBattery {
     }
 
     fn max_discharge_power(&self) -> Watts {
-        let i = self.max_discharge_current(1.0);
+        let i = self.max_discharge_current(1.0, self.kinetics(self.step_constants(1.0)));
         let v = self.ocv() - Amps::new(i) * self.effective_resistance();
         (Amps::new(i) * v).max(Watts::zero())
     }
 
     fn max_charge_power(&self) -> Watts {
-        let i = self.max_charge_current(1.0);
+        let i = self.max_charge_current(1.0, self.kinetics(self.step_constants(1.0)));
         let v = self.ocv() + Amps::new(i) * self.effective_resistance();
         Amps::new(i) * v
     }
@@ -449,13 +522,14 @@ impl StorageDevice for LeadAcidBattery {
             i = (request / v).get();
         }
         let soc_before = self.soc();
-        let i = i.min(self.max_discharge_current(dt_s));
+        let kin = self.kinetics_mut(dt_s);
+        let i = i.min(self.max_discharge_current(dt_s, kin));
         if i <= 0.0 {
             self.idle(dt);
             return DischargeResult::none();
         }
         let v_loaded = (ocv - Amps::new(i) * r).max(self.params.cutoff_voltage);
-        self.advance_wells(i, dt_s);
+        self.advance_wells(i, dt_s, kin);
 
         let ah = AmpHours::new(i * dt_s / SECONDS_PER_HOUR);
         let c_rate = i / self.params.capacity.get();
@@ -492,7 +566,8 @@ impl StorageDevice for LeadAcidBattery {
             let v = ocv + Amps::new(i) * r;
             i = (offered / v).get();
         }
-        let i = i.min(self.max_charge_current(dt_s));
+        let kin = self.kinetics_mut(dt_s);
+        let i = i.min(self.max_charge_current(dt_s, kin));
         if i <= 0.0 {
             self.idle(dt);
             return ChargeResult::none();
@@ -500,7 +575,7 @@ impl StorageDevice for LeadAcidBattery {
         let ce = self.params.coulombic_efficiency.get();
         let v_charge = ocv + Amps::new(i) * r;
         // Gassing: only `ce` of the current becomes stored charge.
-        self.advance_wells(-i * ce, dt_s);
+        self.advance_wells(-i * ce, dt_s, kin);
         self.lifetime.advance(dt);
 
         let drawn = Joules::new(i * v_charge.get() * dt_s);
@@ -516,7 +591,8 @@ impl StorageDevice for LeadAcidBattery {
 
     fn idle(&mut self, dt: Seconds) {
         if dt.get() > 0.0 {
-            self.advance_wells(0.0, dt.get());
+            let kin = self.kinetics_mut(dt.get());
+            self.advance_wells(0.0, dt.get(), kin);
             self.advance_thermal(Joules::zero(), dt.get());
             self.lifetime.advance(dt);
         }

@@ -6,8 +6,9 @@
 //! `prop_assert!`/`prop_assert_eq!`/`prop_assume!`, `prop_oneof!`,
 //! range/tuple/vec/select strategies, and `prop_map` — backed by the
 //! deterministic [`heb_rng`] generator. There is no shrinking: when a
-//! case fails, the panic message reports the case index and the test's
-//! fixed seed, which is enough to reproduce it (generation is a pure
+//! case fails or panics, the test panics with a message naming the
+//! test, the case index and the case's seed, then the original
+//! message, which is enough to reproduce it (generation is a pure
 //! function of test name and case index).
 //!
 //! # Examples
@@ -59,6 +60,25 @@ pub const fn fnv1a(s: &str) -> u64 {
         i += 1;
     }
     hash
+}
+
+/// Re-raises a failed case's panic with the test's name, the case's
+/// index and the case's seed (the [`TestRng::new`] seed its inputs
+/// were generated from) ahead of the original message. Called by
+/// [`proptest!`]; not meant to be called directly.
+///
+/// # Panics
+///
+/// Always.
+#[doc(hidden)]
+#[track_caller]
+pub fn case_failed(test: &str, case: u32, seed: u64, payload: &(dyn std::any::Any + Send)) -> ! {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(panic payload is not a string)");
+    panic!("proptest `{test}` failed at case {case} (case seed {seed:#018x}): {message}")
 }
 
 /// Runner configuration (`cases` = generated inputs per test).
@@ -370,14 +390,17 @@ macro_rules! __proptest_fns {
             let __cfg: $crate::ProptestConfig = $cfg;
             let __base: u64 = $crate::fnv1a(concat!(module_path!(), "::", stringify!($name)));
             for __case in 0..__cfg.cases {
-                let mut __rng = $crate::TestRng::new(
-                    __base ^ u64::from(__case).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
+                let __seed = __base ^ u64::from(__case).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut __rng = $crate::TestRng::new(__seed);
                 $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)*
                 // The closure scopes `prop_assume!`'s early return to
                 // this one case.
                 let __run = || { $body };
-                __run();
+                if let Err(__payload) =
+                    ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(__run))
+                {
+                    $crate::case_failed(stringify!($name), __case, __seed, &*__payload);
+                }
             }
         }
         $crate::__proptest_fns!(($cfg) $($rest)*);
@@ -455,6 +478,43 @@ mod tests {
             prop_assume!(n > 4);
             prop_assert!(n > 4);
         }
+    }
+
+    /// How many cases `fails_at_case_three` has started.
+    static CASES_RUN: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        // Called by `a_failing_case_is_named_with_its_seed`, not a test
+        // of its own.
+        fn fails_at_case_three(n in 0..10usize) {
+            let case = CASES_RUN.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            prop_assert!(case != 3, "n was {}", n);
+        }
+    }
+
+    #[test]
+    fn a_failing_case_is_named_with_its_seed() {
+        let payload = std::panic::catch_unwind(fails_at_case_three).expect_err("case 3 fails");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the report is a formatted message");
+        let base = crate::fnv1a(concat!(module_path!(), "::fails_at_case_three"));
+        let seed = base ^ 3_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let expected = format!(
+            "proptest `fails_at_case_three` failed at case 3 (case seed {seed:#018x}): n was "
+        );
+        assert!(message.starts_with(&expected), "{message}");
+        // The case's inputs come back from its seed.
+        let mut rng = crate::TestRng::new(seed);
+        let n = crate::Strategy::generate(&(0..10usize), &mut rng);
+        assert_eq!(message[expected.len()..], n.to_string());
+        assert_eq!(
+            CASES_RUN.load(std::sync::atomic::Ordering::SeqCst),
+            4,
+            "the run stops at the failing case"
+        );
     }
 
     #[test]

@@ -12,6 +12,13 @@ fn draw(state: &mut [u64; 4]) -> f64 {
     unit_f64(xoshiro_step(s0, s1, s2, s3))
 }
 
+/// The chance that a burst starts in a one-second tick between bursts:
+/// a Bernoulli approximation of the profile's Poisson arrivals.
+#[inline]
+pub(crate) fn arrival_prob(profile: &BurstProfile) -> f64 {
+    profile.bursts_per_hour / 3600.0
+}
+
 /// The single authoritative utilization step: one sample of the burst
 /// process for `profile`, advancing the xoshiro256++ `state` by the
 /// uniforms it draws, in a fixed order — the arrival draw (only between
@@ -22,27 +29,26 @@ fn draw(state: &mut [u64; 4]) -> f64 {
 ///
 /// `profile.mean_burst_secs` must be positive (every validated profile
 /// has it), so the duration draw always happens, as in
-/// [`Rng::exp_f64`].
+/// [`Rng::exp_f64`]. `arrival_prob` is [`arrival_prob`] of `profile`,
+/// which a caller stepping many streams of one profile computes once.
 #[inline]
 pub(crate) fn next_utilization_raw(
     profile: &BurstProfile,
+    arrival_prob: f64,
     state: &mut [u64; 4],
     burst_remaining: &mut u64,
     burst_level: &mut f64,
 ) -> Ratio {
     let p = profile;
-    // Burst arrivals: Bernoulli approximation of a Poisson process
-    // at one-second resolution.
-    if *burst_remaining == 0 {
-        let arrival_prob = p.bursts_per_hour / 3600.0;
-        if draw(state) < arrival_prob {
-            // Exponential duration via inverse transform.
-            let dur = heb_rng::exp_of_unit(draw(state), p.mean_burst_secs);
-            *burst_remaining = dur.ceil().max(1.0) as u64;
-            // Burst height jitters ±25 % around the profile mean.
-            let jitter = heb_rng::range_of_unit(draw(state), 0.75, 1.25);
-            *burst_level = p.burst_amplitude * jitter;
-        }
+    // A burst can start only between bursts; the arrival draw happens
+    // only then.
+    if *burst_remaining == 0 && draw(state) < arrival_prob {
+        // Exponential duration via inverse transform.
+        let dur = heb_rng::exp_of_unit(draw(state), p.mean_burst_secs);
+        *burst_remaining = dur.ceil().max(1.0) as u64;
+        // Burst height jitters ±25 % around the profile mean.
+        let jitter = heb_rng::range_of_unit(draw(state), 0.75, 1.25);
+        *burst_level = p.burst_amplitude * jitter;
     }
     let burst = if *burst_remaining > 0 {
         *burst_remaining -= 1;
@@ -111,6 +117,7 @@ impl UtilizationGenerator {
     pub fn next_utilization(&mut self) -> Ratio {
         next_utilization_raw(
             &self.profile,
+            arrival_prob(&self.profile),
             &mut self.state,
             &mut self.burst_remaining,
             &mut self.burst_level,

@@ -76,6 +76,57 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Blocks of any size, mixed with single ticks, lay out lane by
+    /// lane exactly the samples the generators give tick by tick, and
+    /// leave every lane where the generators are.
+    #[test]
+    fn blocks_match_generators_lane_by_lane(
+        mix in proptest::collection::vec(
+            proptest::sample::select(Archetype::ALL.to_vec()),
+            1..9,
+        ),
+        count in 1usize..40,
+        seed in proptest::num::u64::ANY,
+        blocks in proptest::collection::vec(0usize..300, 1..12),
+        steady in proptest::sample::select(vec![false, false, true]),
+    ) {
+        let (mut lanes, mut generators): (_, Vec<_>) = if steady {
+            (
+                UtilizationLanes::steady(count, Ratio::new_clamped(0.4)),
+                (0..count).map(|_| UtilizationGenerator::new(BurstProfile::steady(0.4), seed)).collect(),
+            )
+        } else {
+            (
+                UtilizationLanes::round_robin(&mix, count, seed),
+                (0..count)
+                    .map(|i| mix[i % mix.len()].generator(seed.wrapping_add(i as u64 * 7919)))
+                    .collect(),
+            )
+        };
+        let mut out = Vec::new();
+        for ticks in blocks {
+            let want: Vec<Vec<u64>> = generators
+                .iter_mut()
+                .map(|g| (0..ticks).map(|_| g.next_utilization().get().to_bits()).collect())
+                .collect();
+            lanes.next_block_into(ticks, &mut out);
+            prop_assert_eq!(out.len(), count * ticks);
+            for (i, lane) in want.iter().enumerate() {
+                let got: Vec<u64> = out[i * ticks..(i + 1) * ticks]
+                    .iter()
+                    .map(|u| u.get().to_bits())
+                    .collect();
+                prop_assert_eq!(&got, lane, "lane {} of a {}-tick block", i, ticks);
+                prop_assert_eq!(lanes.in_burst(i), generators[i].in_burst());
+            }
+            assert_lockstep(&mut lanes, &mut generators, 3);
+        }
+    }
+}
+
 /// Over four hours every archetype's lanes start bursts and finish
 /// them, in lockstep with their generators throughout.
 #[test]
