@@ -26,7 +26,7 @@
 //! within a rack and across racks.
 
 use crate::soa::ServerArrays;
-use heb_units::Watts;
+use heb_units::{Ratio, Watts};
 
 /// Servers per rack node. Must stay above the largest legacy scenario
 /// (prototype experiments top out at 6–18 servers) so historical runs
@@ -140,6 +140,32 @@ impl AggTree {
             self.total_valid = true;
         }
         Watts::new(self.total)
+    }
+
+    /// The totals [`AggTree::total_demand`] would give over a block of
+    /// `ticks` drives of `fleet`, one tick at a time, from `samples`
+    /// laid out lane by lane (`samples[i * ticks + t]` is server `i`'s
+    /// utilization on tick `t`), appended to `totals`. Each tick adds in
+    /// the tree's order: every rack left to right from `0.0`, then the
+    /// racks by `Iterator::sum`. The sums run tick-wise along each lane.
+    pub(crate) fn block_totals(
+        fleet: &ServerArrays,
+        samples: &[Ratio],
+        ticks: usize,
+        totals: &mut Vec<Watts>,
+    ) {
+        let n = fleet.len();
+        let mut rack_sums = vec![0.0_f64; n.div_ceil(RACK_FANOUT) * ticks];
+        for (rack, sums) in rack_sums.chunks_exact_mut(ticks.max(1)).enumerate() {
+            let start = rack * RACK_FANOUT;
+            for i in start..(start + RACK_FANOUT).min(n) {
+                let lane = &samples[i * ticks..(i + 1) * ticks];
+                for (sum, &u) in sums.iter_mut().zip(lane) {
+                    *sum += fleet.driven_draw(i, u).get();
+                }
+            }
+        }
+        totals.extend((0..ticks).map(|t| Watts::new(rack_sums[t..].iter().step_by(ticks).sum())));
     }
 
     /// The first (lowest-index) running server with the minimal

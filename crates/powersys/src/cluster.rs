@@ -230,6 +230,20 @@ impl Cluster {
         self.agg.total_demand(&self.fleet)
     }
 
+    /// The [`Cluster::total_demand`] each of `ticks` ticks would report
+    /// if the cluster were driven with
+    /// [`Cluster::set_utilizations_with`] once per tick, bit for bit,
+    /// appended to `totals`; the cluster itself does not change.
+    /// `samples` holds every server's utilizations lane by lane:
+    /// `samples[i * ticks + t]` is server `i`'s on tick `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` holds fewer than `len() * ticks` values.
+    pub fn block_demand(&self, samples: &[Ratio], ticks: usize, totals: &mut Vec<Watts>) {
+        AggTree::block_totals(&self.fleet, samples, ticks, totals);
+    }
+
     /// Advances every server one tick, returning total energy consumed.
     pub fn tick(&mut self, now: Seconds, dt: Seconds) -> Joules {
         // Ticking restamps every running server's LRU clock but leaves
@@ -375,6 +389,42 @@ mod tests {
         assert_eq!(c.total_demand().get(), 180.0); // all idle
         c.set_all_utilization(Ratio::ONE);
         assert_eq!(c.total_demand().get(), 420.0); // all peak
+    }
+
+    /// A block's totals are what driving a copy tick by tick reports,
+    /// across three racks, both governor levels, servers that are off
+    /// and utilizations outside `[0, 1]`.
+    #[test]
+    fn block_demand_matches_a_tick_by_tick_drive() {
+        let n = 2 * RACK_FANOUT + 3;
+        let frequencies = (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    FrequencyLevel::Low
+                } else {
+                    FrequencyLevel::High
+                }
+            })
+            .collect();
+        let mut c = Cluster::prototype_with_frequencies(frequencies);
+        for idx in [1, RACK_FANOUT, n - 1] {
+            c.power_off(idx);
+        }
+        let ticks = 7;
+        let samples: Vec<Ratio> = (0..n * ticks)
+            .map(|k| Ratio::new_unclamped(((k * 37) % 101) as f64 / 90.0 - 0.05))
+            .collect();
+        let mut totals = Vec::new();
+        c.block_demand(&samples, ticks, &mut totals);
+        let mut driven = c.clone();
+        for (t, total) in totals.iter().enumerate() {
+            driven.set_utilizations_with(samples[t..].iter().step_by(ticks).copied());
+            assert_eq!(
+                total.get().to_bits(),
+                driven.total_demand().get().to_bits(),
+                "tick {t}"
+            );
+        }
     }
 
     #[test]

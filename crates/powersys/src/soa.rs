@@ -356,6 +356,22 @@ impl ServerArrays {
         &self.draw
     }
 
+    /// Server `i`'s draw once a drive sets its utilization to
+    /// `utilization`, as [`ServerArrays::drive_range`] writes it: the
+    /// prospective draw at the clamped utilization when running, the
+    /// present draw when off.
+    #[inline]
+    pub(crate) fn driven_draw(&self, i: usize, utilization: Ratio) -> Watts {
+        match self.state[i] {
+            PowerState::On => prospective_draw_raw(
+                self.specs.get(i),
+                utilization.clamp_unit(),
+                self.frequency[i],
+            ),
+            PowerState::Off => self.draw[i],
+        }
+    }
+
     /// What server `i` would draw if running.
     #[must_use]
     pub fn prospective_draw(&self, i: usize) -> Watts {
