@@ -216,12 +216,18 @@ impl<D: StorageDevice> Bank<D> {
     /// live two ticks in one. Members never driven this call idle
     /// instead (battery recovery keeps flowing).
     ///
+    /// An infinite weight makes its member's pass-1 share `total·(∞/∞)`,
+    /// a NaN; the share is capped as `remaining.min(share)`, which keeps
+    /// `remaining` against a NaN, so such a member is offered everything
+    /// still unserved, and a finite-weight member's share is zero.
+    ///
     /// A one-member bank skips the split when `total > 1e-9`: its
     /// member is driven with exactly `total` (pass 1 offers
-    /// `total·(w/w) = total` for a finite positive weight `w`, and pass
-    /// 2 offers `total` when `w` is zero, negative or NaN), and a
-    /// quarantined member idles. The weight is then never computed; a
-    /// smaller or NaN `total` takes the general path.
+    /// `total·(w/w) = total` for a finite positive weight `w` and
+    /// `remaining = total` for an infinite one, and pass 2 offers
+    /// `total` for any other `w`), and a quarantined member
+    /// idles. The weight is then never computed; a smaller or NaN
+    /// `total` takes the general path.
     fn dispatch<R: Copy + Default>(
         &mut self,
         total: Watts,
@@ -247,13 +253,6 @@ impl<D: StorageDevice> Bank<D> {
                 return acc;
             }
             if total.get() > 1e-9 {
-                // An infinite weight would make pass 1 offer
-                // `total·(∞/∞)`, a NaN; every device here reports a
-                // finite power limit.
-                debug_assert!(
-                    weight(&*member).get() != f64::INFINITY,
-                    "a member's power limit must not be +inf"
-                );
                 absorb(&mut acc, f(member, total, dt));
                 return acc;
             }
@@ -277,7 +276,7 @@ impl<D: StorageDevice> Bank<D> {
         if cap.get() > 0.0 {
             for (idx, device) in self.devices.iter_mut().enumerate() {
                 let share = total * (weights[idx] / cap);
-                let share = share.min(remaining);
+                let share = remaining.min(share);
                 if share.get() <= 0.0 {
                     continue;
                 }
@@ -504,6 +503,44 @@ mod tests {
         assert!(!bank.charge_quiescent());
         // An empty bank has nothing to charge.
         assert!(Bank::<SuperCapacitor>::empty().charge_quiescent());
+    }
+
+    #[test]
+    fn an_infinite_weight_gets_finite_requests() {
+        // Member 1 reports an unbounded power limit; the split must
+        // still offer every member a finite share of the total.
+        let mut bank = sc_bank(3);
+        bank.devices_mut()[1].set_soc(Ratio::new_unclamped(0.9));
+        let weight = |d: &SuperCapacitor| {
+            if d.soc().get() < 0.95 {
+                Watts::new(f64::INFINITY)
+            } else {
+                Watts::new(100.0)
+            }
+        };
+        for (total, served) in [(300.0, 1.0), (300.0, 0.5)] {
+            let mut offers = Vec::new();
+            let realized = bank.dispatch(
+                Watts::new(total),
+                TICK,
+                weight,
+                |_, request, _| {
+                    offers.push(request.get());
+                    request * served
+                },
+                |r: &Watts| *r,
+                |acc: &mut Watts, r| *acc += r,
+            );
+            assert!(!offers.is_empty(), "{total} W must be offered");
+            assert!(
+                offers.iter().all(|o| o.is_finite() && *o > 0.0),
+                "{offers:?}"
+            );
+            assert!(realized.get() <= total, "{realized:?} of {total} W");
+            // The unbounded member is offered the whole total; pass 2
+            // offers any shortfall to the others in member order.
+            assert_eq!(offers[0], total, "{offers:?}");
+        }
     }
 
     #[test]

@@ -128,13 +128,14 @@ pub trait StorageDevice {
 
     /// The greatest load power the device can serve *right now* without
     /// violating current limits or collapsing its terminal voltage.
-    /// Never `+inf`: a [`Bank`](crate::Bank) splits requests by it.
+    /// A [`Bank`](crate::Bank) splits requests in proportion to it; a
+    /// member that reports `+inf` is offered everything still unserved.
     fn max_discharge_power(&self) -> Watts;
 
     /// The greatest charging power the device can absorb *right now*.
     /// For lead-acid this is bounded by the charge-current cap; for
-    /// super-capacitors it is effectively the wiring limit. Never
-    /// `+inf`, as for [`StorageDevice::max_discharge_power`].
+    /// super-capacitors it is effectively the wiring limit. A bank splits
+    /// by it as by [`StorageDevice::max_discharge_power`].
     fn max_charge_power(&self) -> Watts;
 
     /// Terminal voltage at open circuit (no load).

@@ -2,20 +2,23 @@
 //! offline, so there is no HTTP dependency to reach for).
 //!
 //! Deliberately minimal: one request per connection
-//! (`Connection: close`), bodies sized by `Content-Length`, bounded
-//! header and body sizes, and a socket read timeout so a stalled peer
-//! cannot pin a connection thread forever.
+//! (`Connection: close`), bodies sized by `Content-Length`, a head read
+//! through a size limit, a bounded body, and a socket read timeout. A
+//! peer that stops sending frees its pooled connection handler after
+//! [`READ_TIMEOUT`]; one that trickles bytes holds it longer, up to
+//! one timeout per read (DESIGN §10).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::io::{BufRead, BufReader, Read, Take, Write};
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 /// Largest accepted header block, in bytes.
 const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Largest accepted request body, in bytes.
 const MAX_BODY_BYTES: usize = 64 * 1024;
-/// Per-socket read timeout.
-pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// Longest wait for one read of a request (and of a response, in
+/// [`request`]).
+pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A parsed request head plus body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,19 +55,32 @@ impl From<std::io::Error> for HttpError {
     }
 }
 
-/// Reads one request from `stream`.
+/// Reads one request from `stream`, each read waiting at most
+/// [`READ_TIMEOUT`].
 ///
 /// # Errors
 ///
-/// [`HttpError::Io`] on socket failure or timeout;
-/// [`HttpError::Malformed`] when the bytes violate the accepted
-/// subset (bad request line, oversized headers or body, bad
-/// `Content-Length`, non-UTF-8 body).
+/// [`HttpError::Io`] on socket failure or timeout; otherwise as
+/// [`parse_request`].
 pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpError> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    parse_request(&mut BufReader::new(stream))
+}
+
+/// Parses one request off `reader`: the head through an 8 KiB `take`
+/// limit, so a line that never ends costs at most that much, then a
+/// body of at most 64 KiB. A head cut short by the end of input ends
+/// where the input does.
+///
+/// # Errors
+///
+/// [`HttpError::Io`] when `reader` fails or the body is cut short;
+/// [`HttpError::Malformed`] when the bytes violate the accepted subset
+/// (bad request line, oversized headers or body, bad
+/// `Content-Length`, non-UTF-8 head or body).
+pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<HttpRequest, HttpError> {
+    let mut head = reader.take(MAX_HEADER_BYTES as u64);
+    let line = head_line(&mut head)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -82,14 +98,8 @@ pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpError> {
     }
 
     let mut content_length = 0usize;
-    let mut header_bytes = line.len();
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
-        header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::Malformed("headers too large"));
-        }
+        let header = head_line(&mut head)?;
         let trimmed = header.trim_end();
         if trimmed.is_empty() {
             break;
@@ -107,9 +117,48 @@ pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, HttpError> {
         return Err(HttpError::Malformed("body too large"));
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    head.into_inner().read_exact(&mut body)?;
     let body = String::from_utf8(body).map_err(|_| HttpError::Malformed("body is not UTF-8"))?;
     Ok(HttpRequest { method, path, body })
+}
+
+/// The next line of a request head, its newline included; a line
+/// without one is the end of input, or the head outgrew its limit.
+fn head_line<R: BufRead>(head: &mut Take<R>) -> Result<String, HttpError> {
+    let mut line = Vec::new();
+    head.read_until(b'\n', &mut line)?;
+    if line.last() != Some(&b'\n') && head.limit() == 0 {
+        return Err(HttpError::Malformed("headers too large"));
+    }
+    String::from_utf8(line).map_err(|_| HttpError::Malformed("head is not UTF-8"))
+}
+
+/// Most bytes [`linger_close`] discards: one whole request.
+const LINGER_BYTES: usize = MAX_HEADER_BYTES + MAX_BODY_BYTES;
+
+/// Closes a connection whose request may be partly unread, after an
+/// error answer. Closing a socket with unread input resets it, and the
+/// reset can destroy the answer before the peer reads it; so this
+/// half-closes the write side (the peer reads the answer to its end)
+/// and discards what the peer still sends until it closes, for at most
+/// `linger` and [`LINGER_BYTES`].
+pub(crate) fn linger_close(stream: &mut TcpStream, linger: Duration) {
+    let deadline = Instant::now() + linger;
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let mut sink = [0u8; 4096];
+    let mut left = LINGER_BYTES;
+    while left > 0 {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        if wait.is_zero() || stream.set_read_timeout(Some(wait)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left = left.saturating_sub(n),
+        }
+    }
 }
 
 /// The standard reason phrase for the status codes the service emits.
@@ -126,19 +175,30 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a full response (`Connection: close`, JSON content type).
+/// Seconds a shed client is told to wait before it retries.
+const RETRY_AFTER_SECS: u32 = 1;
+
+/// Writes a full response (`Connection: close`, JSON content type; a
+/// `503` carries `Retry-After`) in one `write_all`.
 ///
 /// # Errors
 ///
 /// Propagates socket write failures.
 pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    use std::fmt::Write as _;
+    let mut response = String::with_capacity(128 + body.len());
+    let _ = write!(
+        response,
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
         reason(status),
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    if status == 503 {
+        let _ = write!(response, "Retry-After: {RETRY_AFTER_SECS}\r\n");
+    }
+    response.push_str("Connection: close\r\n\r\n");
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

@@ -38,6 +38,6 @@ mod service;
 mod singleflight;
 
 pub use json::{Json, JsonError};
-pub use server::{Server, ShutdownSignal};
+pub use server::{Server, ShutdownSignal, MAX_HANDLERS};
 pub use service::{Advisor, AdvisorConfig, Answer};
 pub use singleflight::{FlightRole, Singleflight};

@@ -1,52 +1,254 @@
-//! The accept loop and graceful-shutdown lifecycle.
+//! The accept loop, its pool of connection handlers, and the
+//! graceful-shutdown lifecycle.
 //!
-//! One OS thread per connection (simulation parallelism is bounded by
-//! the advisor's worker pool, not the connection count). Shutdown is
-//! cooperative: `POST /shutdown` (or [`Server::shutdown_signal`])
-//! flips a flag, a self-connect unblocks the blocking `accept`, and
-//! the loop then drains — waits for every in-flight connection to
-//! finish — before returning. A failing `accept` (e.g. EMFILE when file
-//! descriptors run out) backs off with a bounded doubling sleep rather
-//! than spinning.
+//! **Threads.** The accept loop hands each connection to a pooled
+//! handler thread, which reads one request, answers it and then waits
+//! for the next connection instead of exiting. The pool starts empty:
+//! a handler is spawned only when a connection arrives and none is
+//! idle, so binding and starting a server spawn nothing. At most
+//! [`MAX_HANDLERS`] handlers live at once. A connection that arrives
+//! while every one of them is busy is answered by the accept loop
+//! itself with a complete `503 Service Unavailable` and `Retry-After`,
+//! never a reset; that answer holds the accept loop for at most
+//! [`LINGER`]. A `/query` that will simulate (its scenario has no cache
+//! entry) runs on a thread spawned for it, so overlapping cold queries
+//! spread over the cores; warm ones stay on the handler. Simulation
+//! parallelism is bounded separately, by the advisor's worker pool.
+//!
+//! **Shutdown** is cooperative: `POST /shutdown` (or
+//! [`Server::shutdown_signal`]) flips a flag, a self-connect unblocks
+//! the blocking `accept`, and the loop then drains: idle handlers wake
+//! and exit, busy ones finish their request first, and [`Server::run`]
+//! returns once every handler thread is joined. A failing `accept`
+//! (e.g. EMFILE when file descriptors run out) backs off with a bounded
+//! doubling sleep rather than spinning.
 
-use std::net::{TcpListener, TcpStream};
+use std::collections::BTreeSet;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::http::{read_request, write_response, HttpError, HttpRequest};
+use heb_telemetry::{Counter, Gauge};
+
+use crate::http::{linger_close, read_request, write_response, HttpError, HttpRequest};
 use crate::service::{Advisor, Answer};
 
-/// Tracks connections in flight so shutdown can drain them.
-struct InFlight {
-    count: Mutex<usize>,
-    drained: Condvar,
+/// Most connection handlers alive at once.
+///
+/// A handler is busy for one request. A warm answer takes tens of
+/// microseconds and a cold one waits for one of the advisor's workers
+/// (two by default), so on a small host a handful of handlers already
+/// saturates the service and more would only queue. The bound leaves
+/// room above that for what holds a handler without using a core:
+/// followers waiting on one slow flight, and slow clients, each of
+/// which can hold a handler for
+/// [`READ_TIMEOUT`](crate::http::READ_TIMEOUT) per read. 64 handlers
+/// reserve 128 MiB of stack address space (2 MiB each, a few pages of
+/// it resident) and hold 64 sockets, far below a default
+/// 1,024-descriptor limit, so overload ends in 503s rather than in
+/// `accept` failing for want of descriptors.
+pub const MAX_HANDLERS: usize = 64;
+
+/// Longest an error answer waits for its client to finish sending and
+/// close ([`linger_close`]): the accept loop's bound per shed
+/// connection, and a handler's after a `400`.
+const LINGER: Duration = Duration::from_millis(100);
+
+/// Most `/query` body hashes the pool remembers (8 bytes each, plus
+/// the tree's overhead); it forgets them all when full, which only
+/// sends repeats through the advisor's check again.
+const ANSWERED_CAPACITY: usize = 16_384;
+
+/// Body of the `503` a shed connection gets.
+const BUSY_BODY: &str = "{\"error\":\"server busy, retry later\"}";
+
+/// The connection-handler pool, and what every handler needs to answer.
+struct Pool {
+    advisor: Arc<Advisor>,
+    stop: Arc<AtomicBool>,
+    addr: SocketAddr,
+    state: Mutex<PoolState>,
+    /// Hashes of the `/query` bodies answered with a cached report.
+    answered: Mutex<BTreeSet<u64>>,
+    spawned: Arc<Counter>,
+    shed: Arc<Counter>,
+    live_gauge: Arc<Gauge>,
+    idle_gauge: Arc<Gauge>,
 }
 
-impl InFlight {
-    fn begin(&self) {
-        *self.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+#[derive(Default)]
+struct PoolState {
+    /// One hand-off channel per idle handler, the most recently idle
+    /// last. The accept loop hands a connection to that one: handing
+    /// it to the longest idle instead measured slower on warm and cold
+    /// `serve_mix` queries alike (EXPERIMENTS, "Connection-handler
+    /// pool").
+    idle: Vec<Sender<TcpStream>>,
+    /// Handler threads alive.
+    live: usize,
+    /// Set once the accept loop has stopped: idle handlers exit.
+    closing: bool,
+}
+
+/// Where the accept loop sends a connection.
+enum Admission {
+    /// Handed to an idle handler.
+    HandedOff,
+    /// No handler is idle and the pool has room: spawn one for it.
+    Spawn(TcpStream),
+    /// Every handler is busy: answer `503`.
+    Shed(TcpStream),
+}
+
+impl Pool {
+    fn new(advisor: Arc<Advisor>, stop: Arc<AtomicBool>, addr: SocketAddr) -> Self {
+        let metrics = advisor.metrics();
+        let pool = Self {
+            spawned: metrics.counter("serve.handlers.spawned"),
+            shed: metrics.counter("serve.connections.shed"),
+            live_gauge: metrics.gauge("serve.handlers.live"),
+            idle_gauge: metrics.gauge("serve.handlers.idle"),
+            advisor,
+            stop,
+            addr,
+            state: Mutex::new(PoolState::default()),
+            answered: Mutex::new(BTreeSet::new()),
+        };
+        pool.publish(&PoolState::default());
+        pool
     }
 
-    fn end(&self) {
-        let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
-        *count = count.saturating_sub(1);
-        drop(count);
-        self.drained.notify_all();
+    /// The state, recovered after a poisoning panic: every update
+    /// below leaves it whole.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn current(&self) -> usize {
-        *self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    fn publish(&self, state: &PoolState) {
+        self.live_gauge.set(state.live as f64);
+        self.idle_gauge.set(state.idle.len() as f64);
     }
 
-    fn wait_for_zero(&self) {
-        let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
-        while *count > 0 {
-            count = self
-                .drained
-                .wait(count)
-                .unwrap_or_else(PoisonError::into_inner);
+    fn admit(&self, stream: TcpStream) -> Admission {
+        let mut state = self.lock();
+        let admission = if let Some(handler) = state.idle.pop() {
+            // An idle handler waits on its receiver until this send or
+            // `close`, so the send does not fail.
+            let _ = handler.send(stream);
+            Admission::HandedOff
+        } else if state.live < MAX_HANDLERS {
+            state.live += 1;
+            self.spawned.increment();
+            Admission::Spawn(stream)
+        } else {
+            self.shed.increment();
+            Admission::Shed(stream)
+        };
+        self.publish(&state);
+        admission
+    }
+
+    /// Undoes the `live` count of an [`Admission::Spawn`] whose thread
+    /// never started, or that has exited.
+    fn retire(&self) {
+        let mut state = self.lock();
+        state.live = state.live.saturating_sub(1);
+        self.publish(&state);
+    }
+
+    /// A handler's loop: answers `stream`, then each connection handed
+    /// to it, until shutdown.
+    fn serve(&self, mut stream: TcpStream) {
+        /// Retires the handler however its thread ends, a panic
+        /// included, so the bound keeps counting only live threads.
+        struct Live<'a>(&'a Pool);
+        impl Drop for Live<'_> {
+            fn drop(&mut self) {
+                self.0.retire();
+            }
         }
+        let _live = Live(self);
+        loop {
+            handle_connection(stream, self);
+            match self.next_connection() {
+                Some(next) => stream = next,
+                None => return,
+            }
+        }
+    }
+
+    /// Waits idle for a handed-off connection; `None` at shutdown.
+    fn next_connection(&self) -> Option<TcpStream> {
+        let (sender, receiver) = channel();
+        {
+            let mut state = self.lock();
+            if state.closing {
+                return None;
+            }
+            state.idle.push(sender);
+            self.publish(&state);
+        }
+        // `close` drops the sender, which ends the wait.
+        receiver.recv().ok()
+    }
+
+    /// Answers a `/query`. One that will simulate runs on a thread
+    /// spawned for it while the handler waits. The scheduler puts a new
+    /// thread on the least-loaded core, but a woken handler can land
+    /// beside a simulation already running, and two overlapping cold
+    /// queries then share one core (EXPERIMENTS, "Connection-handler
+    /// pool"). A body answered before replays the cache, so it skips
+    /// even the advisor's cheap check and stays on the handler.
+    fn query(&self, body: &str) -> Answer {
+        let mut hasher = DefaultHasher::new();
+        body.hash(&mut hasher);
+        let key = hasher.finish();
+        let answered = || self.answered.lock().unwrap_or_else(PoisonError::into_inner);
+        let answer = if answered().contains(&key) || !self.advisor.will_simulate(body) {
+            self.advisor.query(body)
+        } else {
+            std::thread::scope(|scope| {
+                match std::thread::Builder::new().spawn_scoped(scope, || self.advisor.query(body)) {
+                    Ok(thread) => thread.join().unwrap_or_else(|_| Answer {
+                        status: 500,
+                        body: "{\"error\":\"query thread panicked\"}".to_string(),
+                    }),
+                    Err(_) => self.advisor.query(body),
+                }
+            })
+        };
+        // Without a cache every query simulates, so nothing is remembered.
+        if answer.status == 200 && self.advisor.engine().cache().is_some() {
+            let mut answered = answered();
+            if answered.len() >= ANSWERED_CAPACITY {
+                answered.clear();
+            }
+            answered.insert(key);
+        }
+        answer
+    }
+
+    /// Stops the pool: idle handlers exit, busy ones after their
+    /// request. Returns how many were busy.
+    fn close(&self) -> usize {
+        let mut state = self.lock();
+        state.closing = true;
+        let busy = state.live.saturating_sub(state.idle.len());
+        state.idle.clear();
+        self.publish(&state);
+        busy
+    }
+}
+
+/// Answers a connection the pool has no room for with a complete `503`.
+fn shed(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(LINGER));
+    if write_response(&mut stream, 503, BUSY_BODY).is_ok() {
+        linger_close(&mut stream, LINGER);
     }
 }
 
@@ -81,14 +283,13 @@ pub struct Server {
     advisor: Arc<Advisor>,
     listener: TcpListener,
     stop: Arc<AtomicBool>,
-    in_flight: Arc<InFlight>,
 }
 
 /// A handle that can stop a running [`Server`] from another thread.
 #[derive(Clone)]
 pub struct ShutdownSignal {
     stop: Arc<AtomicBool>,
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
 }
 
 impl ShutdownSignal {
@@ -112,10 +313,6 @@ impl Server {
             advisor,
             listener: TcpListener::bind(addr)?,
             stop: Arc::new(AtomicBool::new(false)),
-            in_flight: Arc::new(InFlight {
-                count: Mutex::new(0),
-                drained: Condvar::new(),
-            }),
         })
     }
 
@@ -124,7 +321,7 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the socket introspection failure.
-    pub fn addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -140,17 +337,22 @@ impl Server {
         })
     }
 
-    /// Serves until shutdown is requested, then drains in-flight
-    /// connections and returns. Connection threads never take the
-    /// server down: a failed read answers 400 (when the socket still
-    /// works) and moves on.
+    /// Serves until shutdown is requested, then drains the handler
+    /// pool and returns once every handler thread is joined. Handlers
+    /// never take the server down: a failed read answers 400 (when the
+    /// socket still works) and moves on.
     ///
     /// # Errors
     ///
     /// Only setup failures (socket introspection); per-connection
     /// errors are absorbed.
     pub fn run(self) -> std::io::Result<()> {
-        let addr = self.addr()?;
+        let pool = Arc::new(Pool::new(
+            Arc::clone(&self.advisor),
+            Arc::clone(&self.stop),
+            self.addr()?,
+        ));
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         let mut backoff = AcceptBackoff::default();
         loop {
             let (stream, _) = match self.listener.accept() {
@@ -173,28 +375,47 @@ impl Server {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            self.in_flight.begin();
-            let advisor = Arc::clone(&self.advisor);
-            let in_flight = Arc::clone(&self.in_flight);
-            let stop = Arc::clone(&self.stop);
-            let self_addr = addr;
-            std::thread::spawn(move || {
-                handle_connection(stream, &advisor, &stop, self_addr);
-                in_flight.end();
-            });
+            match pool.admit(stream) {
+                Admission::HandedOff => {}
+                Admission::Spawn(stream) => {
+                    // A second descriptor for the socket, so it can
+                    // still be shed if the thread cannot start.
+                    let spare = stream.try_clone();
+                    let handler = Arc::clone(&pool);
+                    match std::thread::Builder::new()
+                        .name("heb-serve-conn".into())
+                        .spawn(move || handler.serve(stream))
+                    {
+                        Ok(thread) => handlers.push(thread),
+                        Err(_) => {
+                            pool.retire();
+                            pool.shed.increment();
+                            if let Ok(spare) = spare {
+                                shed(spare);
+                            }
+                        }
+                    }
+                }
+                Admission::Shed(stream) => shed(stream),
+            }
         }
-        self.advisor.begin_drain(self.in_flight.current());
-        self.in_flight.wait_for_zero();
+        self.advisor.begin_drain(pool.close());
+        for handler in handlers {
+            // A handler that panicked has retired itself; its
+            // connection is gone either way.
+            let _ = handler.join();
+        }
         self.advisor.flush_recorder();
         Ok(())
     }
 }
 
 /// Routes one request. Returns whether shutdown was requested.
-fn route(advisor: &Advisor, request: &HttpRequest) -> (Answer, bool) {
+fn route(pool: &Pool, request: &HttpRequest) -> (Answer, bool) {
+    let advisor = &*pool.advisor;
     advisor.metrics().counter("serve.http.requests").increment();
     let (endpoint, answer, shutdown) = match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/query") => ("query", advisor.query(&request.body), false),
+        ("POST", "/query") => ("query", pool.query(&request.body), false),
         ("GET", "/healthz") => ("healthz", advisor.healthz(), false),
         ("GET", "/metrics") => ("metrics", advisor.metrics_snapshot(), false),
         ("POST", "/shutdown") => (
@@ -229,28 +450,25 @@ fn route(advisor: &Advisor, request: &HttpRequest) -> (Answer, bool) {
     (answer, shutdown)
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    advisor: &Advisor,
-    stop: &AtomicBool,
-    addr: std::net::SocketAddr,
-) {
+fn handle_connection(mut stream: TcpStream, pool: &Pool) {
     match read_request(&mut stream) {
         Ok(request) => {
-            let (answer, shutdown) = route(advisor, &request);
+            let (answer, shutdown) = route(pool, &request);
             let _ = write_response(&mut stream, answer.status, &answer.body);
             if shutdown {
-                stop.store(true, Ordering::SeqCst);
+                pool.stop.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it can begin draining.
-                let _ = TcpStream::connect(addr);
+                let _ = TcpStream::connect(pool.addr);
             }
         }
         Err(HttpError::Malformed(why)) => {
             let body = format!("{{\"error\":\"malformed request: {why}\"}}");
-            let _ = write_response(&mut stream, 400, &body);
+            if write_response(&mut stream, 400, &body).is_ok() {
+                // The rest of the request may still be unread.
+                linger_close(&mut stream, LINGER);
+            }
         }
-        // Socket died or timed out: nothing to answer. The self-
-        // connect that wakes the accept loop lands here by design.
+        // Socket died or timed out: nothing to answer.
         Err(HttpError::Io(_)) => {}
     }
 }

@@ -251,6 +251,23 @@ impl Advisor {
         Answer::ok(self.metrics().snapshot().to_json())
     }
 
+    /// Whether answering `body` will simulate: it parses into a
+    /// scenario with no entry in the result cache. A cheap guess (one
+    /// parse and one `stat`), not a promise: an entry can land or turn
+    /// out corrupt in between. The server gives such a query a thread of
+    /// its own (DESIGN §10).
+    pub(crate) fn will_simulate(&self, body: &str) -> bool {
+        let Ok(request) = parse_request(body) else {
+            return false;
+        };
+        let Ok(scenario) = request.query.scenario() else {
+            return false;
+        };
+        self.engine
+            .cache()
+            .is_none_or(|cache| !cache.entry_path(&scenario).exists())
+    }
+
     /// Answers a `/query` body end to end. Never panics: parse and
     /// validation failures come back 400, quarantined simulations 500,
     /// all with JSON `error` bodies.
@@ -600,6 +617,21 @@ mod tests {
     }
 
     const QUICK: &str = r#"{"workloads":["WS","TS"],"hours":0.05,"seed":7}"#;
+
+    #[test]
+    fn will_simulate_until_the_answer_is_cached() {
+        let advisor = advisor("will-simulate");
+        assert!(advisor.will_simulate(QUICK));
+        assert_eq!(advisor.query(QUICK).status, 200);
+        assert!(!advisor.will_simulate(QUICK), "the answer is now cached");
+        // A re-priced query shares the cached report.
+        let repriced =
+            r#"{"workloads":["WS","TS"],"hours":0.05,"seed":7,"tariff":{"energy_per_kwh":0.2}}"#;
+        assert!(!advisor.will_simulate(repriced));
+        // Bodies the advisor refuses never simulate.
+        assert!(!advisor.will_simulate("not json"));
+        assert!(!advisor.will_simulate(r#"{"workloads":["??"],"hours":1}"#));
+    }
 
     #[test]
     fn recorder_sees_query_lifecycle_and_drain() {

@@ -112,7 +112,7 @@ if [ -z "$TOTAL_SIMULATED" ] || [ "$TOTAL_SIMULATED" != "$REGISTRY_SIMULATED" ];
 fi
 echo "heb_fleet --metrics smoke: registry fleet.simulated = total: line ($TOTAL_SIMULATED)"
 
-echo "== heb_serve smoke (cold query, warm replay byte-identical, graceful drain, restart on the warm cache)"
+echo "== heb_serve smoke (cold query, warm replay byte-identical, handler pool in /metrics, graceful drain, restart on the warm cache)"
 cargo build -q --release -p heb-serve
 SERVE=target/release/heb_serve
 # Starts heb_serve on the smoke cache, logging to $1; sets SERVE_PID and ADDR.
@@ -143,6 +143,12 @@ grep -q '"total_usd"' "$SMOKE/cold.json"
 grep -q 'serve.query.hit_ratio' "$SMOKE/metrics.json"
 # The cold + warm pair synthesises MPPU once; the warm answer reads the memo.
 grep -q '"serve.mppu.synthesized":1[,}]' "$SMOKE/metrics.json"
+# The handler pool reports itself: handlers spawned (at least the one
+# answering), live and idle, and no connection shed at this load.
+grep -q '"serve.handlers.spawned":[1-9]' "$SMOKE/metrics.json"
+grep -q '"serve.handlers.live":[1-9]' "$SMOKE/metrics.json"
+grep -q '"serve.handlers.idle":[0-9]' "$SMOKE/metrics.json"
+grep -q '"serve.connections.shed":0[,}]' "$SMOKE/metrics.json"
 "$SERVE" --addr "$ADDR" --post /shutdown | grep -q '"draining":true'
 wait "$SERVE_PID"
 grep -q 'drained, shutting down' "$SMOKE/serve.out"
